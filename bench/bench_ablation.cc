@@ -1,20 +1,12 @@
 // E9 — ablations of the engine's design choices (DESIGN.md §4):
 //
-//  (a) Deadlock policy: wait-for graph (victim = requester, immediate)
-//      vs. timeout-only. Expected shape: under order-inverting write
-//      contention the graph resolves collisions in microseconds while
-//      timeouts burn the full timeout per collision, so graph throughput
-//      dominates and the gap widens as the timeout grows.
+//  (a) Deadlock resolution: the wait-for graph (the requester that
+//      closes a cycle dies immediately) under order-inverting write
+//      contention — the throughput DESIGN.md §4 items 4-5 rest on.
 //  (b) Read-lock acquisition for read-modify-write: Get-then-Add (shared
 //      lock first, upgrade later) vs. GetForUpdate-then-Add (exclusive
 //      from the start). Expected shape: upgrade path deadlocks heavily
 //      under contention; for-update avoids nearly all of it.
-//  (c) Victim policy under the wait-for graph: requester-dies vs.
-//      youngest-subtree vs. fewest-locks-held, on a nested write-heavy
-//      mesh. Expected shape: broadly similar throughput (every policy
-//      aborts some waiter on the cycle); the non-requester policies trade
-//      cross-thread signalling for retrying less completed work, visible
-//      in the victims-other column.
 //
 // With --json, results are also written to BENCH_ablation.json.
 #include <atomic>
@@ -32,69 +24,63 @@ using namespace nestedtx::bench;
 
 namespace {
 
-void DeadlockPolicyAblation(JsonResultFile* json) {
-  std::printf("E9a: deadlock policy ablation (8 threads, 4 keys, "
+void DeadlockResolution(JsonResultFile* json) {
+  std::printf("E9a: deadlock resolution (8 threads, 4 keys, "
               "all writes, 100us dwell)\n");
   std::printf("%22s | %10s %10s %10s\n", "policy", "txn/s", "deadlocks",
               "timeouts");
-  for (auto [policy, timeout_ms, label] :
-       {std::tuple{DeadlockPolicy::kWaitForGraph, 200, "graph/200ms"},
-        std::tuple{DeadlockPolicy::kTimeoutOnly, 10, "timeout/10ms"},
-        std::tuple{DeadlockPolicy::kTimeoutOnly, 50, "timeout/50ms"},
-        std::tuple{DeadlockPolicy::kTimeoutOnly, 200, "timeout/200ms"}}) {
-    WorkloadConfig cfg;
-    cfg.threads = 8;
-    cfg.num_keys = 4;
-    cfg.read_ratio = 0.0;
-    cfg.accesses_per_txn = 3;
-    cfg.dwell_us_per_access = 100;
-    cfg.duration_seconds = 0.6;
-    cfg.lock_timeout = std::chrono::milliseconds(timeout_ms);
-    // RunWorkload builds its own EngineOptions; replicate with policy.
-    // (WorkloadConfig carries everything except the policy, so inline.)
-    EngineOptions options;
-    options.cc_mode = cfg.mode;
-    options.lock_timeout = cfg.lock_timeout;
-    options.deadlock_policy = policy;
-    Database db(options);
-    std::vector<std::string> keys;
-    for (int k = 0; k < cfg.num_keys; ++k) {
-      keys.push_back(StrCat("k", k));
-      db.Preload(keys.back(), 0);
-    }
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> committed{0};
-    std::vector<std::thread> workers;
-    Stopwatch clock;
-    for (int w = 0; w < cfg.threads; ++w) {
-      workers.emplace_back([&, w] {
-        Rng rng(w * 31 + 5);
-        Zipf zipf(cfg.num_keys, 0.0);
-        while (!stop.load(std::memory_order_relaxed)) {
-          uint64_t ops = 0;
-          Status s = db.RunTransaction(60, [&](Transaction& t) {
-            return RunOneTransaction(cfg, t, keys, rng, zipf, &ops);
-          });
-          if (s.ok()) committed.fetch_add(1);
-        }
-      });
-    }
-    while (clock.ElapsedSeconds() < cfg.duration_seconds) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    stop.store(true);
-    for (auto& t : workers) t.join();
-    const double txn_per_sec = committed.load() / clock.ElapsedSeconds();
-    const StatsSnapshot snap = db.stats().Snapshot();
-    std::printf("%22s | %10.0f %10llu %10llu\n", label, txn_per_sec,
-                (unsigned long long)snap.deadlocks,
-                (unsigned long long)snap.lock_timeouts);
-    if (json != nullptr) {
-      json->Add(StrCat("e9a/", label))
-          .Num("txn_per_sec", txn_per_sec)
-          .Int("deadlocks", snap.deadlocks)
-          .Int("lock_timeouts", snap.lock_timeouts);
-    }
+  const char* label = "graph/200ms";
+  WorkloadConfig cfg;
+  cfg.threads = 8;
+  cfg.num_keys = 4;
+  cfg.read_ratio = 0.0;
+  cfg.accesses_per_txn = 3;
+  cfg.dwell_us_per_access = 100;
+  cfg.duration_seconds = 0.6;
+  cfg.lock_timeout = std::chrono::milliseconds(200);
+  // Inline rather than RunWorkload: this row retries through
+  // Database::RunTransaction (jittered backoff).
+  EngineOptions options;
+  options.cc_mode = cfg.mode;
+  options.lock_timeout = cfg.lock_timeout;
+  Database db(options);
+  std::vector<std::string> keys;
+  for (int k = 0; k < cfg.num_keys; ++k) {
+    keys.push_back(StrCat("k", k));
+    db.Preload(keys.back(), 0);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> committed{0};
+  std::vector<std::thread> workers;
+  Stopwatch clock;
+  for (int w = 0; w < cfg.threads; ++w) {
+    workers.emplace_back([&, w] {
+      Rng rng(w * 31 + 5);
+      Zipf zipf(cfg.num_keys, 0.0);
+      while (!stop.load(std::memory_order_relaxed)) {
+        uint64_t ops = 0;
+        Status s = db.RunTransaction(60, [&](Transaction& t) {
+          return RunOneTransaction(cfg, t, keys, rng, zipf, &ops);
+        });
+        if (s.ok()) committed.fetch_add(1);
+      }
+    });
+  }
+  while (clock.ElapsedSeconds() < cfg.duration_seconds) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true);
+  for (auto& t : workers) t.join();
+  const double txn_per_sec = committed.load() / clock.ElapsedSeconds();
+  const StatsSnapshot snap = db.stats().Snapshot();
+  std::printf("%22s | %10.0f %10llu %10llu\n", label, txn_per_sec,
+              (unsigned long long)snap.deadlocks,
+              (unsigned long long)snap.lock_timeouts);
+  if (json != nullptr) {
+    json->Add(StrCat("e9a/", label))
+        .Num("txn_per_sec", txn_per_sec)
+        .Int("deadlocks", snap.deadlocks)
+        .Int("lock_timeouts", snap.lock_timeouts);
   }
 }
 
@@ -153,74 +139,6 @@ void ForUpdateAblation(JsonResultFile* json) {
   }
 }
 
-void VictimPolicyAblation(JsonResultFile* json) {
-  std::printf("\nE9c: victim policy sweep (8 threads, 4 keys, write-heavy "
-              "nested depth 2, 100us dwell)\n");
-  std::printf("%18s | %10s %10s %12s %12s\n", "victim policy", "txn/s",
-              "deadlocks", "victims-self", "victims-other");
-  for (VictimPolicy vp :
-       {VictimPolicy::kRequester, VictimPolicy::kYoungestSubtree,
-        VictimPolicy::kFewestLocksHeld}) {
-    WorkloadConfig cfg;
-    cfg.threads = 8;
-    cfg.num_keys = 4;
-    cfg.read_ratio = 0.1;
-    cfg.accesses_per_txn = 4;
-    cfg.nesting_depth = 2;
-    cfg.dwell_us_per_access = 100;
-    cfg.duration_seconds = 0.6;
-    cfg.lock_timeout = std::chrono::milliseconds(200);
-    EngineOptions options;
-    options.cc_mode = cfg.mode;
-    options.lock_timeout = cfg.lock_timeout;
-    options.deadlock_policy = DeadlockPolicy::kWaitForGraph;
-    options.victim_policy = vp;
-    Database db(options);
-    std::vector<std::string> keys;
-    for (int k = 0; k < cfg.num_keys; ++k) {
-      keys.push_back(StrCat("k", k));
-      db.Preload(keys.back(), 0);
-    }
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> committed{0};
-    std::vector<std::thread> workers;
-    Stopwatch clock;
-    for (int w = 0; w < cfg.threads; ++w) {
-      workers.emplace_back([&, w] {
-        Rng rng(w * 131 + 17);
-        Zipf zipf(cfg.num_keys, 0.0);
-        while (!stop.load(std::memory_order_relaxed)) {
-          uint64_t ops = 0;
-          Status s = db.RunTransaction(60, [&](Transaction& t) {
-            return RunOneTransaction(cfg, t, keys, rng, zipf, &ops);
-          });
-          if (s.ok()) committed.fetch_add(1);
-        }
-      });
-    }
-    while (clock.ElapsedSeconds() < cfg.duration_seconds) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    stop.store(true);
-    for (auto& t : workers) t.join();
-    const double txn_per_sec = committed.load() / clock.ElapsedSeconds();
-    const StatsSnapshot snap = db.stats().Snapshot();
-    std::printf("%18s | %10.0f %10llu %12llu %12llu\n",
-                VictimPolicyName(vp), txn_per_sec,
-                (unsigned long long)snap.deadlocks,
-                (unsigned long long)snap.deadlock_victims_self,
-                (unsigned long long)snap.deadlock_victims_other);
-    if (json != nullptr) {
-      json->Add(StrCat("e9c/", VictimPolicyName(vp)))
-          .Num("txn_per_sec", txn_per_sec)
-          .Int("deadlocks", snap.deadlocks)
-          .Int("victims_self", snap.deadlock_victims_self)
-          .Int("victims_other", snap.deadlock_victims_other)
-          .Int("lock_timeouts", snap.lock_timeouts);
-    }
-  }
-}
-
 // (d) Per-key lock word on vs. off (EngineOptions::lock_word_enabled),
 //     CPU-bound read-mostly cell. Expected shape: the word serves almost
 //     every grant and repeat read without a key mutex, so word-on leads;
@@ -253,9 +171,8 @@ void LockWordAblation(JsonResultFile* json) {
 int main(int argc, char** argv) {
   JsonResultFile json("ablation");
   JsonResultFile* out = HasFlag(argc, argv, "--json") ? &json : nullptr;
-  DeadlockPolicyAblation(out);
+  DeadlockResolution(out);
   ForUpdateAblation(out);
-  VictimPolicyAblation(out);
   LockWordAblation(out);
   if (out != nullptr) out->Write();
   return 0;

@@ -1,11 +1,11 @@
 // E15 — concurrency-control shootout: detection vs. wait-die vs.
-// no-wait vs. OCC vs. adaptive across contention levels and nesting
-// depths — and E16, the read-ratio sweep that motivates adaptation.
+// no-wait vs. OCC across contention levels and nesting depths — and
+// E16, the read-ratio sweep with no dwell.
 //
 // All protocols admit only serially correct executions — the locking
 // family by Theorem 34 directly, OCC because validation admits exactly
 // the schedules some serial order explains (and its traced replays ARE
-// lock-discipline schedules; the policy-parity suite proves all five on
+// lock-discipline schedules; the policy-parity suite proves all four on
 // checked traces) — so what differs is WHICH schedules each admits and
 // what conflicts cost:
 //
@@ -23,21 +23,14 @@
 //               never hold the key's mutex.
 //   occ       — no locks at all until commit: reads are an acquire load
 //               plus a seqlock value read, writes buffer privately.
-//               Cheapest conflict-free path of the five; under write
+//               Cheapest conflict-free path of the four; under write
 //               contention every collision is a full transaction of
 //               wasted work surfaced as a validation abort.
-//   adaptive  — per-epoch controller that runs OCC while commit abort
-//               rates stay low and falls back to the locking family
-//               when they climb. Should track the best static choice
-//               within hysteresis lag on every cell.
 //
 // Expected shape: E15 (50% reads) separates the protocols as keys
-// shrink — detect holds throughput, prevention and OCC trade it for
-// aborts. E16 sweeps read_ratio x contention with no dwell, so CC
-// overhead itself dominates: at read 0.99 / low contention OCC's
-// lock-free reads win outright, and at write-heavy / hot-key cells it
-// collapses below every locking protocol — no static choice wins both,
-// which is the case for the adaptive controller.
+// shrink — detect holds goodput, prevention and OCC trade it for
+// throughput. E16 sweeps read_ratio x contention with no dwell, so CC
+// overhead itself dominates and OCC's lock-free path leads every cell.
 //
 // --protocols=occ,detect,... restricts the sweep (CI's smoke step runs
 // one cell per protocol this way); --json emits the digest file.
@@ -55,7 +48,7 @@ namespace {
 
 constexpr CcProtocol kProtocols[] = {
     CcProtocol::kDetect, CcProtocol::kWaitDie, CcProtocol::kNoWait,
-    CcProtocol::kOcc, CcProtocol::kAdaptive};
+    CcProtocol::kOcc};
 
 // Hand-parsed --protocols=a,b,c (bench_json.h's HasFlag is exact-match
 // only). Unknown names are fatal: a typo silently benching nothing

@@ -116,7 +116,6 @@ ChaosResult RunChaosCell(const ChaosCfg& raw_cfg) {
   ArmSites(cfg.fault_one_in);
 
   EngineOptions options;
-  options.victim_policy = VictimPolicy::kYoungestSubtree;
   options.lock_timeout = std::chrono::milliseconds(2000);
   options.admission_max_inflight = cfg.admit_inflight;
   options.admission_max_queued = cfg.admit_queued;

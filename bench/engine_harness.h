@@ -74,8 +74,7 @@ struct WorkloadResult {
   uint64_t deadlocks = 0;
   uint64_t timeouts = 0;
   uint64_t prevention_aborts = 0;  // wait-die / no-wait deaths
-  uint64_t occ_validation_aborts = 0;  // kOcc / kAdaptive stale commits
-  uint64_t adaptive_switches = 0;      // kAdaptive protocol flips
+  uint64_t occ_validation_aborts = 0;  // kOcc stale commits
   // Engine latency histograms at the end of the run (all-zero when the
   // workload ran with metrics_enabled = false).
   HistogramSnapshot lock_wait_hist;
@@ -259,7 +258,6 @@ inline WorkloadResult RunWorkload(const WorkloadConfig& raw_cfg) {
   result.timeouts = stats.lock_timeouts;
   result.prevention_aborts = stats.prevention_aborts;
   result.occ_validation_aborts = stats.occ_validation_aborts;
-  result.adaptive_switches = stats.adaptive_switches;
   MetricsRegistry& metrics = db.metrics();
   result.lock_wait_hist = metrics.SnapshotHistogram(kHistLockWaitNs);
   result.txn_hist = metrics.SnapshotHistogram(kHistTxnNs);
@@ -297,7 +295,6 @@ inline JsonResultFile::Entry& AddWorkloadEntry(JsonResultFile& out,
       .Int("timeouts", r.timeouts)
       .Int("prevention_aborts", r.prevention_aborts)
       .Int("occ_validation_aborts", r.occ_validation_aborts)
-      .Int("adaptive_switches", r.adaptive_switches)
       // Latency histogram digests (log2-bucket upper bounds, so p-values
       // are conservative; 0 when the histogram recorded nothing).
       .Int("txn_p50_ns", r.txn_hist.Percentile(0.50))

@@ -1,41 +1,26 @@
 #include "core/cc_policy.h"
 
-#include <utility>
 
 #include "util/strings.h"
 
 namespace nestedtx {
 namespace {
 
-// Deadlock detection: the engine's historical wait/victim machinery,
-// now policy-private. Owns the wait-for graph, honors the
-// DeadlockPolicy sub-knob (kTimeoutOnly waits unregistered — deadlocks
-// surface as timeouts) and the VictimPolicy choice, and maintains the
-// kFewestLocksHeld lock-count index when that policy demands it.
+// Deadlock detection: the engine's historical wait machinery, now
+// policy-private. Owns the wait-for graph; a registration that would
+// close a cycle kills the requester.
 class DetectPolicy : public ConflictPolicy {
  public:
-  explicit DetectPolicy(const EngineOptions& options,
-                        const char* name = nullptr)
-      : use_graph_(options.deadlock_policy ==
-                   DeadlockPolicy::kWaitForGraph),
-        track_counts_(use_graph_ && options.victim_policy ==
-                                        VictimPolicy::kFewestLocksHeld),
-        name_(name != nullptr ? name
-                              : CcProtocolName(CcProtocol::kDetect)) {
-    graph_.SetVictimPolicy(options.victim_policy);
-  }
+  explicit DetectPolicy(const char* name = CcProtocolName(CcProtocol::kDetect))
+      : name_(name) {}
 
   Decision OnConflict(const TransactionId& txn,
-                      const std::vector<TransactionId>& holders,
-                      const WaitGraph::WaiterInfo& info,
-                      std::vector<WaitGraph::Wakeup>* wakeups) override {
+                      const std::vector<TransactionId>& holders) override {
     Decision d;
-    if (!use_graph_) return d;  // kTimeoutOnly: wait, unregistered
-    const Status reg = graph_.AddWait(txn, holders, info, wakeups);
+    const Status reg = graph_.AddWait(txn, holders);
     if (!reg.ok()) {
-      // The registration would have closed a cycle and the victim
-      // policy picked the requester; the rejected AddWait erased any
-      // previous edges, so nothing is registered.
+      // The registration would have closed a cycle; the rejected AddWait
+      // erased any previous edges, so nothing is registered.
       d.action = Decision::Action::kAbort;
       d.status = reg;
       return d;
@@ -44,31 +29,12 @@ class DetectPolicy : public ConflictPolicy {
     return d;
   }
 
-  bool TakeVictim(const TransactionId& txn) override {
-    return use_graph_ && graph_.TakeVictim(txn);
-  }
-
   void OnWaitEnd(const TransactionId& txn) override {
     graph_.RemoveWait(txn);
   }
 
   void OnTransactionEnd(const TransactionId& txn) override {
-    if (use_graph_) graph_.RemoveWait(txn);
-  }
-
-  bool TracksLockCounts() const override { return track_counts_; }
-
-  void NoteLockAcquired(const TransactionId& txn) override {
-    if (track_counts_) graph_.NoteLockAcquired(txn);
-  }
-
-  void ApplyLockCountDeltas(
-      const std::vector<WaitGraph::LockCountDelta>& deltas) override {
-    graph_.ApplyLockCountDeltas(deltas);
-  }
-
-  uint64_t LocksHeldBy(const TransactionId& txn) const override {
-    return track_counts_ ? graph_.LocksHeldBy(txn) : 0;
+    graph_.RemoveWait(txn);
   }
 
   size_t NumWaiters() const override { return graph_.NumWaiters(); }
@@ -78,8 +44,6 @@ class DetectPolicy : public ConflictPolicy {
   const char* Name() const override { return name_; }
 
  private:
-  const bool use_graph_;
-  const bool track_counts_;
   const char* name_;
   WaitGraph graph_;
 };
@@ -97,11 +61,7 @@ class DetectPolicy : public ConflictPolicy {
 class WaitDiePolicy : public ConflictPolicy {
  public:
   Decision OnConflict(const TransactionId& txn,
-                      const std::vector<TransactionId>& holders,
-                      const WaitGraph::WaiterInfo& info,
-                      std::vector<WaitGraph::Wakeup>* wakeups) override {
-    (void)info;
-    (void)wakeups;
+                      const std::vector<TransactionId>& holders) override {
     Decision d;
     for (const TransactionId& h : holders) {
       if (!(txn < h)) {
@@ -124,11 +84,7 @@ class WaitDiePolicy : public ConflictPolicy {
 class NoWaitPolicy : public ConflictPolicy {
  public:
   Decision OnConflict(const TransactionId& txn,
-                      const std::vector<TransactionId>& holders,
-                      const WaitGraph::WaiterInfo& info,
-                      std::vector<WaitGraph::Wakeup>* wakeups) override {
-    (void)info;
-    (void)wakeups;
+                      const std::vector<TransactionId>& holders) override {
     Decision d;
     d.action = Decision::Action::kAbort;
     d.prevention = true;
@@ -148,7 +104,7 @@ std::unique_ptr<ConflictPolicy> MakeConflictPolicy(
     const EngineOptions& options) {
   switch (options.cc_protocol) {
     case CcProtocol::kDetect:
-      return std::make_unique<DetectPolicy>(options);
+      return std::make_unique<DetectPolicy>();
     case CcProtocol::kWaitDie:
       return std::make_unique<WaitDiePolicy>();
     case CcProtocol::kNoWait:
@@ -161,22 +117,9 @@ std::unique_ptr<ConflictPolicy> MakeConflictPolicy(
       // is correct there and keeps the kOcc drain invariant
       // (deadlocks == 0 and prevention_aborts == 0).
       return std::make_unique<DetectPolicy>(
-          options, CcProtocolName(CcProtocol::kOcc));
-    case CcProtocol::kAdaptive: {
-      // The adaptive controller alternates OCC with a locking phase; the
-      // policy seam serves the locking phase. Recurse once with the
-      // configured fallback (TransactionManager::NormalizeOptions has
-      // already sanitized it to a locking protocol).
-      EngineOptions locking = options;
-      locking.cc_protocol =
-          (options.adaptive_locking_protocol == CcProtocol::kOcc ||
-           options.adaptive_locking_protocol == CcProtocol::kAdaptive)
-              ? CcProtocol::kDetect
-              : options.adaptive_locking_protocol;
-      return MakeConflictPolicy(locking);
-    }
+          CcProtocolName(CcProtocol::kOcc));
   }
-  return std::make_unique<DetectPolicy>(options);
+  return std::make_unique<DetectPolicy>();
 }
 
 }  // namespace nestedtx

@@ -8,8 +8,9 @@
 // set in hand:
 //
 //   detect    — wait, registered in a policy-private wait-for graph; a
-//               registration that would close a cycle victimizes someone
-//               (the engine's historical behaviour, and the default).
+//               registration that would close a cycle kills the
+//               requester (the engine's historical behaviour, and the
+//               default).
 //   wait-die  — wait iff the requester is older than EVERY conflicting
 //               holder (TransactionId lexicographic order; path[0] is
 //               the top-level begin ordinal, so cross-tree age is begin
@@ -18,9 +19,8 @@
 //               deadlock can form and no detector exists.
 //   no-wait   — any conflict dies immediately with Status::Deadlock.
 //
-// State ownership: the wait-for graph, the cycle detector, the victim
-// policy and the per-transaction lock counts (kFewestLocksHeld weights)
-// are all private to the detection policy. Prevention policies carry no
+// State ownership: the wait-for graph and the cycle detector are
+// private to the detection policy. Prevention policies carry no
 // state at all — their decisions are pure functions of (requester,
 // holders) — which is what makes them trivially correct against the
 // doom registry, the park table and the batched release path: those
@@ -62,7 +62,7 @@ class ConflictPolicy {
     /// kAbort only: the status to return (always retryable).
     Status status;
     /// kAbort only: a prevention-rule death (wait-die / no-wait), as
-    /// opposed to a detected-cycle victim. Drives the stats split:
+    /// opposed to a detected cycle. Drives the stats split:
     /// prevention aborts count under kStatPreventionAborts, detected
     /// cycles under kStatDeadlocks.
     bool prevention = false;
@@ -70,21 +70,8 @@ class ConflictPolicy {
 
   /// Decide the fate of `txn`, blocked on `holders` (non-empty, already
   /// deduplicated, no ancestors of txn). Called under the key's mutex.
-  /// `info` describes where the requester would park; detection may
-  /// append victim Wakeups the caller must deliver (key mutex dropped)
-  /// before re-evaluating.
   virtual Decision OnConflict(const TransactionId& txn,
-                              const std::vector<TransactionId>& holders,
-                              const WaitGraph::WaiterInfo& info,
-                              std::vector<WaitGraph::Wakeup>* wakeups) = 0;
-
-  /// True (at most once) when another transaction's conflict handling
-  /// marked `txn` as a victim; consumes the mark and its registration.
-  /// Prevention policies never victimize third parties.
-  virtual bool TakeVictim(const TransactionId& txn) {
-    (void)txn;
-    return false;
-  }
+                              const std::vector<TransactionId>& holders) = 0;
 
   /// Clear `txn`'s wait registration (every WaitForGrant exit with
   /// Decision::registered still outstanding).
@@ -94,19 +81,6 @@ class ConflictPolicy {
   /// registration `txn` may have leaked (an operation torn down with a
   /// result still in flight).
   virtual void OnTransactionEnd(const TransactionId& txn) { (void)txn; }
-
-  // ---- Victim-weight bookkeeping (kFewestLocksHeld under detection;
-  // every other configuration pays a single branch). ----
-  virtual bool TracksLockCounts() const { return false; }
-  virtual void NoteLockAcquired(const TransactionId& txn) { (void)txn; }
-  virtual void ApplyLockCountDeltas(
-      const std::vector<WaitGraph::LockCountDelta>& deltas) {
-    (void)deltas;
-  }
-  virtual uint64_t LocksHeldBy(const TransactionId& txn) const {
-    (void)txn;
-    return 0;
-  }
 
   /// Registered waiters (drain diagnostics; 0 for prevention policies,
   /// whose waiters are tracked only by the park table).

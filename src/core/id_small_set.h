@@ -67,14 +67,12 @@ class IdSet {
     return it != v_.end() && *it == id;
   }
 
-  /// Erase every element matching `pred`; calls `on_erase(id)` for each
-  /// just before removal. Returns the number erased.
-  template <typename Pred, typename OnErase>
-  size_t EraseIf(Pred pred, OnErase on_erase) {
+  /// Erase every element matching `pred`. Returns the number erased.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
     size_t erased = 0;
     for (size_t i = 0; i < v_.size();) {
       if (pred(v_[i])) {
-        on_erase(v_[i]);
         v_.erase(v_.begin() + i);
         ++erased;
       } else {
@@ -163,14 +161,13 @@ class VersionMap {
     return ReplaceOutcome::kReplaced;
   }
 
-  /// Erase every entry whose id matches `pred`; calls `on_erase(id)` for
-  /// each just before removal. Returns the number erased.
-  template <typename Pred, typename OnErase>
-  size_t EraseIf(Pred pred, OnErase on_erase) {
+  /// Erase every entry whose id matches `pred`. Returns the number
+  /// erased.
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
     size_t erased = 0;
     for (size_t i = 0; i < v_.size();) {
       if (pred(v_[i].id)) {
-        on_erase(v_[i].id);
         v_.erase(v_.begin() + i);
         ++erased;
       } else {

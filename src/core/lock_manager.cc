@@ -155,18 +155,8 @@ LockManager::LockManager(const EngineOptions& options, EngineStats* stats,
       stats_(stats),
       metrics_(metrics),
       policy_(MakeConflictPolicy(options)),
-      track_lock_counts_(policy_->TracksLockCounts()),
-      shards_(options.lock_table_shards) {}
-
-void LockManager::NoteLockAcquired(const TransactionId& txn) {
-  if (!track_lock_counts_) return;
-  policy_->NoteLockAcquired(txn);
-}
-
-uint64_t LockManager::LocksHeldBy(const TransactionId& txn) const {
-  if (!track_lock_counts_) return 0;
-  return policy_->LocksHeldBy(txn);
-}
+      // Clamped: GetKeyState and ReleaseBatch index by hash % size.
+      shards_(std::max<size_t>(options.lock_table_shards, 1)) {}
 
 LockManager::~LockManager() = default;
 
@@ -362,25 +352,11 @@ Status LockManager::WaitForGrant(KeyState& ks,
     if (registered) policy_->OnWaitEnd(txn);
     if (parked) UnparkWaiter(txn, &ks);
   });
-  // Terminal-status precedence is pinned: victim > doomed > granted >
-  // timed out, re-checked in that order at EVERY classification site (the
-  // loop top, the doom branches, the pre-park refusal, the deadline
-  // branch). A transaction victimized by a cycle check while an ancestor
-  // abort dooms it concurrently must report exactly one terminal status —
-  // Deadlock — whichever notification wakes it first; letting the wake
-  // race decide put the outcome (and its counter) on whichever path won.
-  auto take_victim = [&]() -> bool {
-    if (registered && policy_->TakeVictim(txn)) {
-      registered = false;  // TakeVictim consumed the entry
-      return true;
-    }
-    return false;
-  };
-  auto victim_status = [&]() -> Status {
-    stats_->Add2(kStatDeadlocks, kStatDeadlockVictimOther);
-    return Status::Deadlock(
-        StrCat(txn, " chosen as deadlock victim while waiting"));
-  };
+  // Terminal-status precedence is pinned: doomed > granted > timed out,
+  // checked in that order at every classification site (the loop top,
+  // the pre-park refusal, the deadline branch), so every wake resolves
+  // to exactly one outcome and one counter whichever notification lands
+  // first.
   // Wait-latency accounting, armed only once this request actually
   // parks (wait_start_ns below) so the no-conflict grant path never
   // reads the clock. Every exit — grant, deadlock, timeout,
@@ -398,17 +374,12 @@ Status LockManager::WaitForGrant(KeyState& ks,
     ++acct.count;
     if (metrics_ != nullptr) metrics_->Record(kHistLockWaitNs, elapsed);
   });
-  std::vector<WaitGraph::Wakeup> wakeups;
   for (;;) {
-    // The slow path owns the key from here, and the victim-wakeup branch
-    // below drops lk — another thread's release may deflate the key
-    // inside that window — so inflation is re-asserted at every loop
-    // entry, before any holder structure is read.
+    // The slow path owns the key from here: inflation is asserted before
+    // any holder structure is read (a no-op after the first pass: a
+    // parked waiter blocks deflation, and ks.m is held from every wake
+    // to here).
     EnsureInflatedLocked(ks);
-    // Another transaction's cycle check may have picked us as the victim
-    // while we slept; its notification is delivered under ks.m, so the
-    // mark cannot race past this check into our next wait.
-    if (take_victim()) return victim_status();
     // Orphan check on every pass: an ancestor abort dooms this subtree
     // mid-wait, and the doom's wakeup lands here — return Cancelled
     // instead of re-parking for the rest of the lock timeout. (Checked
@@ -416,10 +387,6 @@ Status LockManager::WaitForGrant(KeyState& ks,
     // already-parked wakeups, where the park-table entry guarantees the
     // doom notified our cv.)
     if (IsDoomed(txn)) {
-      // A victim mark delivered while IsDoomed scanned the registry must
-      // still win (precedence above): consume it before reporting the
-      // doom.
-      if (take_victim()) return victim_status();
       if (waited) stats_->Add(kStatWaitsCancelled);
       return Status::Cancelled(
           StrCat(txn, " cancelled while waiting (subtree doomed by "
@@ -427,59 +394,16 @@ Status LockManager::WaitForGrant(KeyState& ks,
     }
     std::vector<TransactionId> conflicts = Conflicts(ks, txn, exclusive);
     if (conflicts.empty()) return Status::OK();
-    {
-      WaitGraph::WaiterInfo info;
-      info.mutex = &ks.m;
-      info.cv = &ks.cv;
-      info.locks_held = LocksHeldBy(txn);
-      wakeups.clear();
-      const ConflictPolicy::Decision d =
-          policy_->OnConflict(txn, conflicts, info, &wakeups);
-      if (d.action == ConflictPolicy::Decision::Action::kAbort) {
-        registered = false;  // a rejecting policy never leaves an entry
-        if (d.prevention) {
-          // A prevention-rule death (wait-die / no-wait), decided under
-          // the inflated key's mutex: its own counter, distinct from
-          // detected cycles. The requester retries under a fresh id.
-          stats_->Add(kStatPreventionAborts);
-        } else {
-          // Detection picked the requester at its own registration.
-          stats_->Add2(kStatDeadlocks, kStatDeadlockVictimSelf);
-        }
-        return d.status;
-      }
-      registered = d.registered;
-      if (!wakeups.empty()) {
-        // Our registration victimized other waiters. Drop our key mutex
-        // (never hold two), then for each distinct victim slot pass
-        // through the victim's key mutex and notify only after releasing
-        // it. The mutex pass orders the delivery after the victim's
-        // check-then-wait critical section — the victim either has not
-        // checked its flag yet (it will see the mark) or is already
-        // parked in wait (the notify reaches it) — while notifying
-        // unlocked means the woken victim never stalls on a mutex we
-        // still own. Several victims parked on one key share a slot;
-        // duplicates are coalesced to one pass+notify.
-        lk.unlock();
-        uint64_t issued = 0;
-        for (size_t i = 0; i < wakeups.size(); ++i) {
-          bool seen = false;
-          for (size_t j = 0; j < i && !seen; ++j) {
-            seen = wakeups[j].cv == wakeups[i].cv;
-          }
-          if (seen) continue;
-          { std::lock_guard<std::mutex> victim_lock(*wakeups[i].mutex); }
-          wakeups[i].cv->notify_all();
-          ++issued;
-        }
-        stats_->Add(kStatWakeupsIssued, issued);
-        if (issued < wakeups.size()) {
-          stats_->Add(kStatWakeupsCoalesced, wakeups.size() - issued);
-        }
-        lk.lock();
-        continue;
-      }
+    const ConflictPolicy::Decision d = policy_->OnConflict(txn, conflicts);
+    if (d.action == ConflictPolicy::Decision::Action::kAbort) {
+      registered = false;  // a rejecting policy never leaves an entry
+      // A prevention-rule death (wait-die / no-wait) has its own counter,
+      // distinct from detected cycles. Either way the requester retries
+      // under a fresh id.
+      stats_->Add(d.prevention ? kStatPreventionAborts : kStatDeadlocks);
+      return d.status;
     }
+    registered = d.registered;
     if (!waited) {
       waited = true;
       wait_start_ns = MonotonicNowNs();
@@ -492,12 +416,6 @@ Status LockManager::WaitForGrant(KeyState& ks,
       // our cv through a ks.m mutex-pass) or we see its root here and
       // never park — the one ordering the loop-top check cannot close.
       if (ParkWaiter(txn, &ks)) {
-        // Doomed before ever parking — but a cycle check may have
-        // victimized this (already registered) waiter inside the same
-        // window. Victim precedence holds here too: pre-fix this return
-        // skipped the check, so the terminal status depended on which
-        // notification landed first.
-        if (take_victim()) return victim_status();
         stats_->Add(kStatWaitsCancelled);
         return Status::Cancelled(
             StrCat(txn, " cancelled before parking (subtree doomed by "
@@ -520,22 +438,19 @@ Status LockManager::WaitForGrant(KeyState& ks,
     --ks.waiters;
     // Stretches the wake-to-classify window; in the wild the race below
     // is microseconds wide, with the delay armed a regression test can
-    // land a doom or victim mark inside it deterministically.
+    // land a doom inside it deterministically.
     FailPoints::MaybeDelay(FailPoints::kWaitWakeup);
     if (timed_out && std::chrono::steady_clock::now() >= deadline) {
       // The deadline tripped, but wait_until timing out says nothing
-      // about WHY we should return: a grant, a victim mark or a subtree
-      // doom may have landed just as the timer expired (their state
-      // changes are published under mutexes we do not hold while
-      // parked). Classifying by the cv result alone misreports those
-      // wakes as Timeout — the caller then retries a transaction that
-      // was in fact cancelled, and the outcome lands on the wrong
-      // counter. Re-check the definitive state in the pinned precedence
-      // order (victim > doomed > granted > timed out) so every wake
-      // resolves to exactly one outcome and one counter.
-      if (take_victim()) return victim_status();
+      // about WHY we should return: a grant or a subtree doom may have
+      // landed just as the timer expired (their state changes are
+      // published under mutexes we do not hold while parked).
+      // Classifying by the cv result alone misreports those wakes as
+      // Timeout — the caller then retries a transaction that was in fact
+      // cancelled, and the outcome lands on the wrong counter. Re-check
+      // the definitive state in the pinned precedence order (doomed >
+      // granted > timed out).
       if (IsDoomed(txn)) {
-        if (take_victim()) return victim_status();
         stats_->Add(kStatWaitsCancelled);
         return Status::Cancelled(
             StrCat(txn, " cancelled while waiting (subtree doomed by "
@@ -588,10 +503,7 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
   uint64_t nw = w;
   std::optional<int64_t> out;
   if (!exclusive) {
-    if (ks.read_holders.Insert(txn)) {
-      nw = BumpSeq(nw);
-      NoteLockAcquired(txn);
-    }
+    if (ks.read_holders.Insert(txn)) nw = BumpSeq(nw);
     out = (w & kWordPresent)
               ? std::optional<int64_t>(
                     ks.hot.value.load(std::memory_order_relaxed))
@@ -607,10 +519,7 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
     // deepest writer: its new version IS the current value.
     const std::optional<int64_t> current = CurrentValue(ks);
     out = (*mutator)(current);
-    if (ks.write_holders.Put(txn, out)) {
-      nw = BumpSeq(nw);
-      NoteLockAcquired(txn);
-    }
+    if (ks.write_holders.Put(txn, out)) nw = BumpSeq(nw);
     nw = RefreshValueCache(ks, out, nw);
     if (held != nullptr) {
       *held = HeldLock{&ks, &ks.hot, nw, /*read=*/ks.read_holders.Contains(txn),
@@ -647,7 +556,6 @@ Result<std::optional<int64_t>> LockManager::AcquireReadOn(
   if (ks.read_holders.Insert(txn)) {
     ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                   std::memory_order_relaxed);
-    NoteLockAcquired(txn);
   }
   stats_->Add2(kStatLockGrants, kStatReads);
   const std::optional<int64_t> value = CurrentValue(ks);
@@ -691,7 +599,6 @@ Result<std::optional<int64_t>> LockManager::AcquireWriteOn(
   if (ks.write_holders.Put(txn, next)) {
     ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                   std::memory_order_relaxed);
-    NoteLockAcquired(txn);
   }
   stats_->Add2(kStatLockGrants, kStatWrites);
   if (held != nullptr) {
@@ -725,7 +632,6 @@ bool LockManager::TryReacquireRead(HeldLock& held, const TransactionId& txn,
     if (ks.read_holders.Insert(txn)) {
       ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
                     std::memory_order_relaxed);
-      NoteLockAcquired(txn);
     }
     held.read = true;
   }
@@ -825,24 +731,20 @@ Result<std::optional<int64_t>> LockManager::ReacquireWrite(
   return AcquireWriteOn(*held.key, txn, mutator, trace, &held);
 }
 
-// Batch-local bookkeeping: counter and lock-count deltas accumulated
-// while key mutexes (or micro bits) are held, wakeup intents deduped by
-// KeyState, all flushed once after the last key mutex drops.
+// Batch-local bookkeeping: counters accumulated while key mutexes (or
+// micro bits) are held, wakeup intents deduped by KeyState, all flushed
+// once after the last key mutex drops.
 struct LockManager::ReleaseScratch {
-  bool track_counts = false;
   uint64_t inherited = 0;        // commit: lock handoffs (or releases)
   uint64_t discarded = 0;        // abort: versions purged
   uint64_t notify_requests = 0;  // raw intents, before coalescing
   std::vector<KeyState*> changed;  // deduped pending wakeups
-  std::vector<WaitGraph::LockCountDelta> deltas;
 
   // Clear for a new batch, keeping vector capacity (the scratch is
   // thread-local and reused across batches).
-  void Reset(bool track) {
-    track_counts = track;
+  void Reset() {
     inherited = discarded = notify_requests = 0;
     changed.clear();
-    deltas.clear();
   }
 
   // A holder-set change on `ks` wants its waiters woken. Dual-mode
@@ -853,20 +755,6 @@ struct LockManager::ReleaseScratch {
     if (std::find(changed.begin(), changed.end(), ks) == changed.end()) {
       changed.push_back(ks);
     }
-  }
-
-  // Accumulate a signed lock-count delta for `id` (kFewestLocksHeld
-  // bookkeeping only); same-id deltas merge so the batch hands the wait
-  // graph one entry per distinct transaction.
-  void Note(const TransactionId& id, int64_t d) {
-    if (!track_counts) return;
-    for (WaitGraph::LockCountDelta& e : deltas) {
-      if (e.first == id) {
-        e.second += d;
-        return;
-      }
-    }
-    deltas.emplace_back(id, d);
   }
 };
 
@@ -884,51 +772,33 @@ void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
   if (parent.IsRoot()) {
     // Top-level commit: release the locks, install the version as base.
     if (auto version = ks.write_holders.TryTake(txn)) {
-      scratch.Note(txn, -1);
       ks.base = *version;
       ++scratch.inherited;
       if (ks.waiters > 0) scratch.PendWakeup(&ks);
       changed = true;
     }
     if (ks.read_holders.Erase(txn)) {
-      scratch.Note(txn, -1);
       ++scratch.inherited;
       if (ks.waiters > 0) scratch.PendWakeup(&ks);
       changed = true;
     }
   } else {
     // Subtransaction commit: the parent takes the child's place — and
-    // inherits its version — in one sorted-vector pass per mode.
-    switch (ks.write_holders.ReplaceWithAncestor(txn, parent)) {
-      case ReplaceOutcome::kAbsent:
-        break;
-      case ReplaceOutcome::kReplaced:
-        // Parent is a new holder (fast-lane fence).
-        ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                      std::memory_order_relaxed);
-        scratch.Note(parent, +1);
-        [[fallthrough]];
-      case ReplaceOutcome::kMerged:
-        scratch.Note(txn, -1);
-        ++scratch.inherited;
-        if (ks.waiters > 0) scratch.PendWakeup(&ks);
-        changed = true;
-        break;
-    }
-    switch (ks.read_holders.ReplaceWithAncestor(txn, parent)) {
-      case ReplaceOutcome::kAbsent:
-        break;
-      case ReplaceOutcome::kReplaced:
-        ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                      std::memory_order_relaxed);
-        scratch.Note(parent, +1);
-        [[fallthrough]];
-      case ReplaceOutcome::kMerged:
-        scratch.Note(txn, -1);
-        ++scratch.inherited;
-        if (ks.waiters > 0) scratch.PendWakeup(&ks);
-        changed = true;
-        break;
+    // inherits its version — in one sorted-vector pass per mode. A
+    // kReplaced outcome makes the parent a new holder, which bumps the
+    // seq (fast-lane fence).
+    for (const ReplaceOutcome outcome :
+         {ks.write_holders.ReplaceWithAncestor(txn, parent),
+          ks.read_holders.ReplaceWithAncestor(txn, parent)}) {
+      if (outcome == ReplaceOutcome::kAbsent) continue;
+      if (outcome == ReplaceOutcome::kReplaced) {
+        ks.hot.word.store(
+            BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
+            std::memory_order_relaxed);
+      }
+      ++scratch.inherited;
+      if (ks.waiters > 0) scratch.PendWakeup(&ks);
+      changed = true;
     }
   }
   if (changed && recorder_ != nullptr) {
@@ -943,15 +813,12 @@ void LockManager::AbortKeyLocked(KeyState& ks, const TransactionId& txn,
   // Stretch the purge window (see CommitKeyLocked).
   FailPoints::MaybeDelay(FailPoints::kAbortPurge);
   // Discard entries of txn and (defensively) any stray descendants.
-  const size_t writes = ks.write_holders.EraseIf(
-      [&](const TransactionId& w) { return txn.IsAncestorOf(w); },
-      [&](const TransactionId& w) {
-        scratch.Note(w, -1);
-        ++scratch.discarded;  // each write holder owned one version slot
-      });
-  const size_t reads = ks.read_holders.EraseIf(
-      [&](const TransactionId& r) { return txn.IsAncestorOf(r); },
-      [&](const TransactionId& r) { scratch.Note(r, -1); });
+  const auto in_subtree = [&](const TransactionId& id) {
+    return txn.IsAncestorOf(id);
+  };
+  const size_t writes = ks.write_holders.EraseIf(in_subtree);
+  const size_t reads = ks.read_holders.EraseIf(in_subtree);
+  scratch.discarded += writes;  // each write holder owned one version slot
   if (ks.waiters > 0) {
     if (writes > 0) scratch.PendWakeup(&ks);
     if (reads > 0) scratch.PendWakeup(&ks);
@@ -981,52 +848,30 @@ bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
   if (parent != nullptr) {
     if (parent->IsRoot()) {
       if (auto version = ks.write_holders.TryTake(txn)) {
-        scratch.Note(txn, -1);
         ks.base = *version;
         ++scratch.inherited;
         changed = true;
       }
       if (ks.read_holders.Erase(txn)) {
-        scratch.Note(txn, -1);
         ++scratch.inherited;
         changed = true;
       }
     } else {
-      switch (ks.write_holders.ReplaceWithAncestor(txn, *parent)) {
-        case ReplaceOutcome::kAbsent:
-          break;
-        case ReplaceOutcome::kReplaced:
-          scratch.Note(*parent, +1);
-          [[fallthrough]];
-        case ReplaceOutcome::kMerged:
-          scratch.Note(txn, -1);
-          ++scratch.inherited;
-          changed = true;
-          break;
-      }
-      switch (ks.read_holders.ReplaceWithAncestor(txn, *parent)) {
-        case ReplaceOutcome::kAbsent:
-          break;
-        case ReplaceOutcome::kReplaced:
-          scratch.Note(*parent, +1);
-          [[fallthrough]];
-        case ReplaceOutcome::kMerged:
-          scratch.Note(txn, -1);
-          ++scratch.inherited;
-          changed = true;
-          break;
+      for (const ReplaceOutcome outcome :
+           {ks.write_holders.ReplaceWithAncestor(txn, *parent),
+            ks.read_holders.ReplaceWithAncestor(txn, *parent)}) {
+        if (outcome == ReplaceOutcome::kAbsent) continue;
+        ++scratch.inherited;
+        changed = true;
       }
     }
   } else {
-    const size_t writes = ks.write_holders.EraseIf(
-        [&](const TransactionId& wh) { return txn.IsAncestorOf(wh); },
-        [&](const TransactionId& wh) {
-          scratch.Note(wh, -1);
-          ++scratch.discarded;
-        });
-    const size_t reads = ks.read_holders.EraseIf(
-        [&](const TransactionId& r) { return txn.IsAncestorOf(r); },
-        [&](const TransactionId& r) { scratch.Note(r, -1); });
+    const auto in_subtree = [&](const TransactionId& id) {
+      return txn.IsAncestorOf(id);
+    };
+    const size_t writes = ks.write_holders.EraseIf(in_subtree);
+    const size_t reads = ks.read_holders.EraseIf(in_subtree);
+    scratch.discarded += writes;
     changed = writes + reads > 0;
   }
   uint64_t nw = w;
@@ -1054,7 +899,7 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
   thread_local ReleaseScratch scratch;
   states.assign(n, nullptr);
   uncached.clear();  // (shard, key index)
-  scratch.Reset(track_lock_counts_);
+  scratch.Reset();
 
   // Phase 1: resolve every KeyState. Cached handles go direct — no
   // shard hash at all on the fast path; the remainder are bucketed by
@@ -1108,12 +953,8 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
     MaybeDeflateLocked(ks);
   }
 
-  // Phase 3: every key mutex is dropped. One bulk policy call for the
-  // whole batch's lock counts, one striped-counter bump per stat,
-  // then the coalesced wakeups — woken waiters grab a free mutex.
-  if (!scratch.deltas.empty()) {
-    policy_->ApplyLockCountDeltas(scratch.deltas);
-  }
+  // Phase 3: every key mutex is dropped. One striped-counter bump per
+  // stat, then the coalesced wakeups — woken waiters grab a free mutex.
   if (scratch.inherited > 0) {
     stats_->Add(kStatLocksInherited, scratch.inherited);
   }
@@ -1204,10 +1045,10 @@ Result<std::optional<int64_t>> LockManager::OccReadKey(const std::string& key,
   for (;;) {
     uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
     if (w1 & kWordInflated) {
-      // A locking phase (kAdaptive) may have left the key escalated; in
-      // the inflated regime the seq is not a validation version (holder
-      // removals and top-level installs don't bump it), so either hand
-      // the key back to the word regime or fail the read.
+      // A traced OCC commit (replayed under locks) may have left the key
+      // escalated; in the inflated regime the seq is not a validation
+      // version (holder removals and top-level installs don't bump it),
+      // so either hand the key back to the word regime or fail the read.
       {
         std::lock_guard<std::mutex> lock(ks.m);
         MaybeDeflateLocked(ks);

@@ -13,11 +13,11 @@
 // Blocking: a conflicting request's fate is the ConflictPolicy's call
 // (EngineOptions::cc_protocol; see core/cc_policy.h): under detection it
 // waits on the key's condition variable, registered in the policy's
-// wait-for graph (or unregistered, bounded by the timeout, under
-// kTimeoutOnly); under wait-die an older requester waits and a younger
+// wait-for graph; under wait-die an older requester waits and a younger
 // one dies; under no-wait every conflict dies. Deaths are retryable
 // Status::Deadlock, and always happen on the inflated slow path — a
-// policy abort is a conflict event, never a fast-path spin.
+// policy abort is a conflict event, never a fast-path spin. Every wait
+// is bounded by lock_timeout.
 //
 // Lock word (two-regime concurrency control, DESIGN.md §5): each key
 // carries one atomic 64-bit word packing an INFLATED escalation bit, a
@@ -29,8 +29,8 @@
 // short critical section, and a same-holder repeat read is a pure
 // seqlock validation (two relaxed-cost atomic loads around the value
 // cache, no store at all). On any conflict, would-be-waiter arrival, or
-// Moss event the word cannot express (waiting, victim selection, doom,
-// tracing, armed failpoints), the key *inflates*: a mutex-protected
+// Moss event the word cannot express (waiting, doom, tracing, armed
+// failpoints), the key *inflates*: a mutex-protected
 // slow-path entrant sets INFLATED under ks.m, after which fast paths
 // bail on sight and ks.m alone protects the key — exactly the original
 // design. A release that leaves a key with no holders and no waiters
@@ -69,11 +69,10 @@
 // mutex to take); inflated keys apply the INFORM_COMMIT_AT /
 // INFORM_ABORT_AT state change (inherit or purge) under that key's
 // mutex and record which keys' holder sets changed; (3) with no key
-// mutex held, apply the batch's lock-count deltas in one WaitGraph
-// call, bump the batch's counters once, and issue one cv.notify_all per
-// changed key (duplicate notify requests — e.g. a dual-mode read+write
-// holder — are coalesced first). Wakeups are requested only for keys
-// with a parked waiter: each KeyState counts waiters under its mutex,
+// mutex held, bump the batch's counters once and call cv.notify_all
+// once per changed key (duplicate notify requests — e.g. a dual-mode
+// read+write holder — are coalesced first). Wakeups are requested only
+// for keys with a parked waiter: each KeyState counts waiters under its mutex,
 // and since a waiter holds that mutex continuously from wake to
 // re-park, a releaser either sees it parked (and notifies) or the
 // waiter re-checks against the post-release state — the skip loses no
@@ -264,9 +263,9 @@ class LockManager {
   /// Commit `txn`'s entries on `keys`: locks and version pass to `parent`.
   /// A top-level commit (parent == T0) releases the locks and installs the
   /// version as the committed base. Batched: see the header comment
-  /// (shard-grouped resolution, deferred coalesced wakeups, one bulk
-  /// lock-count call). The string overload is a thin adapter onto the
-  /// same implementation with no cached handles.
+  /// (shard-grouped resolution, deferred coalesced wakeups). The string
+  /// overload is a thin adapter onto the same implementation with no
+  /// cached handles.
   void OnCommit(const TransactionId& txn, const TransactionId& parent,
                 const std::vector<std::string>& keys);
   void OnCommit(const TransactionId& txn, const TransactionId& parent,
@@ -306,8 +305,8 @@ class LockManager {
   /// without any holder-set insert — two acquire loads around the value
   /// cache, zero shared-state writes on the hit path. Fills `entry` with
   /// the exact word OccCommit will validate. An INFLATED key is deflated
-  /// if quiescent (a locking phase under kAdaptive may have left it
-  /// escalated) and otherwise fails with a retryable Status::Aborted
+  /// if quiescent (a traced replay commit may have left it escalated)
+  /// and otherwise fails with a retryable Status::Aborted
   /// counted under occ_validation_aborts: in the inflated regime holder
   /// removals and top-level installs do NOT bump the seq, so no inflated
   /// word can serve as a validation version (DESIGN §4.9). Requires
@@ -377,8 +376,8 @@ class LockManager {
       const std::function<void(const std::string&, int64_t)>& emit);
 
   /// The conflict-scheduling policy (EngineOptions::cc_protocol): who
-  /// waits, who dies, and — under detection — the wait-graph/victim
-  /// machinery, all behind one interface.
+  /// waits, who dies, and — under detection — the wait graph, all
+  /// behind one interface.
   ConflictPolicy& policy() { return *policy_; }
   const ConflictPolicy& policy() const { return *policy_; }
 
@@ -402,11 +401,6 @@ class LockManager {
   std::vector<TransactionId> ConflictsForTest(const std::string& key,
                                               const TransactionId& txn,
                                               bool exclusive);
-
-  /// Locks currently held by `txn` (0 unless the victim policy is
-  /// kFewestLocksHeld, the only mode that pays for the tracking). The
-  /// index itself lives in the detection policy, its only consumer.
-  uint64_t LocksHeldBy(const TransactionId& txn) const;
 
   /// Full per-key state dump for equivalence tests: holder sets, version
   /// entries, committed base and holder epoch (the word's seq field),
@@ -539,15 +533,9 @@ class LockManager {
                                               bool exclusive);
 
   // Block until no conflicts (or error). Caller holds `lk` on ks.m; the
-  // loop re-asserts inflation at its top (a deflation can slip into the
-  // victim-wakeup unlock window).
+  // loop asserts inflation before reading any holder structure.
   Status WaitForGrant(KeyState& ks, std::unique_lock<std::mutex>& lk,
                       const TransactionId& txn, bool exclusive);
-
-  // Grant-path lock-count bookkeeping for kFewestLocksHeld victim
-  // selection; a single branch under every other policy. Release-side
-  // counts go through the batch's one ApplyLockCountDeltas call.
-  void NoteLockAcquired(const TransactionId& txn);
 
   // Park-table handshake for cancellation wakeups. Registration checks
   // the doomed roots atomically (same mutex), so a doom either sees the
@@ -563,8 +551,6 @@ class LockManager {
   std::unique_ptr<ConflictPolicy> policy_;
   EngineTraceRecorder* recorder_ = nullptr;
   WriteAheadLog* wal_ = nullptr;
-
-  const bool track_lock_counts_;
 
   struct Shard {
     std::mutex m;

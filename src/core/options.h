@@ -46,40 +46,6 @@ enum class CcMode {
 
 const char* CcModeName(CcMode mode);
 
-/// How lock waits are resolved.
-enum class DeadlockPolicy {
-  /// Maintain a wait-for graph; when a wait registration would close a
-  /// cycle, the configured VictimPolicy picks a transaction on the cycle
-  /// to receive Status::Deadlock (in a nested world only that subtree
-  /// retries).
-  kWaitForGraph,
-  /// No graph; waits time out after `lock_timeout` (deadlocks surface as
-  /// Status::TimedOut).
-  kTimeoutOnly,
-};
-
-/// Who dies when the wait-for graph finds a cycle (kWaitForGraph only).
-/// The paper leaves abort decisions to the scheduler; this knob is that
-/// scheduler freedom made concrete. Every choice preserves liveness —
-/// some waiter on the cycle always aborts — they differ in how much work
-/// is redone.
-enum class VictimPolicy {
-  /// The registering waiter dies (the classical choice: no cross-thread
-  /// signalling, the detecting thread pays for its own collision).
-  kRequester,
-  /// The deepest (then latest-begun) waiter on the cycle dies: the
-  /// youngest subtree carries the least completed work, so aborting it
-  /// redoes the least. Ties go to the requester.
-  kYoungestSubtree,
-  /// The cycle waiter holding the fewest locks dies (lock count proxies
-  /// for work done and for the blast radius of the retry). Ties go to
-  /// the requester. Requires the lock manager to track per-transaction
-  /// lock counts (only maintained under this policy).
-  kFewestLocksHeld,
-};
-
-const char* VictimPolicyName(VictimPolicy policy);
-
 /// How lock conflicts are scheduled — the pluggable CC-protocol seam.
 /// The paper's Theorem 34 is protocol-agnostic at the trace level: any
 /// discipline whose grants respect Moss's compatibility rule yields a
@@ -90,8 +56,9 @@ const char* VictimPolicyName(VictimPolicy policy);
 enum class CcProtocol {
   /// Deadlock detection (the default, and the engine's historical
   /// behaviour): conflicting requesters wait; a wait-for graph detects
-  /// cycles and the configured DeadlockPolicy / VictimPolicy knobs pick
-  /// who dies. The wait graph and detector are private to this protocol.
+  /// cycles, and the requester whose registration would close one dies
+  /// with Status::Deadlock (in a nested world only that subtree
+  /// retries). The wait graph and detector are private to this protocol.
   kDetect,
   /// Wait-die prevention: an OLDER requester waits, a YOUNGER one dies
   /// immediately with Status::Deadlock (retried under a fresh, younger
@@ -117,28 +84,18 @@ enum class CcProtocol {
   /// abort discards only the child's sets); only top-level commit
   /// validates against the shared store. Requires lock_word_enabled.
   kOcc,
-  /// Workload-adaptive selection: a per-epoch controller reads the
-  /// engine's contention stats (validation/prevention abort rates, lock
-  /// waits) and switches the effective protocol between kOcc and
-  /// adaptive_locking_protocol with hysteresis, draining in-flight
-  /// transactions at each switch so optimistic and locking accesses
-  /// never overlap.
-  kAdaptive,
 };
 
 const char* CcProtocolName(CcProtocol protocol);
 
 struct EngineOptions {
   CcMode cc_mode = CcMode::kMossRW;
-  /// Conflict-scheduling protocol (see CcProtocol). deadlock_policy and
-  /// victim_policy are sub-knobs of kDetect and ignored by the
-  /// prevention protocols.
+  /// Conflict-scheduling protocol (see CcProtocol).
   CcProtocol cc_protocol = CcProtocol::kDetect;
-  DeadlockPolicy deadlock_policy = DeadlockPolicy::kWaitForGraph;
-  VictimPolicy victim_policy = VictimPolicy::kRequester;
-  /// Upper bound on any single lock wait (also the kTimeoutOnly horizon).
+  /// Upper bound on any single lock wait: the safety net under every
+  /// protocol (a wait that outlives it fails with Status::TimedOut).
   std::chrono::milliseconds lock_timeout{2000};
-  /// Number of lock-table shards (power of two).
+  /// Number of lock-table shards (power of two; 0 is treated as 1).
   size_t lock_table_shards = 64;
   /// Admission control on gated top-level execution (Database::
   /// RunTransaction and RetryExecutor::Run — raw Begin() is never gated):
@@ -179,23 +136,6 @@ struct EngineOptions {
   /// fast lanes at runtime regardless of this flag (trace emission
   /// requires the mutex-ordered grant path).
   bool lock_word_enabled = true;
-  /// --- kAdaptive sub-knobs (ignored by every other protocol) ---
-  /// The locking-family protocol the adaptive controller falls back to
-  /// when contention makes optimistic execution churn. Must be one of
-  /// the locking protocols (kDetect / kWaitDie / kNoWait).
-  CcProtocol adaptive_locking_protocol = CcProtocol::kDetect;
-  /// Epoch length: the controller re-evaluates the protocol choice every
-  /// N top-level begins. 0 disables switching (the controller starts in
-  /// OCC and stays there).
-  uint32_t adaptive_epoch_txns = 256;
-  /// Hysteresis thresholds on the per-epoch abort rate
-  /// ((occ_validation_aborts + prevention_aborts + deadlocks) per begun
-  /// transaction). Above `to_locking` the controller leaves OCC; below
-  /// `to_occ` — and only when the epoch's lock-wait rate is also below
-  /// `to_occ` — it returns. The gap between the two is the hysteresis
-  /// band that prevents oscillation on a workload sitting at the border.
-  double adaptive_abort_rate_to_locking = 0.10;
-  double adaptive_abort_rate_to_occ = 0.02;
   /// --- Durability (write-ahead log; see core/wal.h, DESIGN.md §5) ---
   /// Master switch. When false (the default) no WAL is constructed and
   /// the commit path pays one predictable branch per write; when true,

@@ -29,11 +29,10 @@ RetryExecutor::RetryExecutor(Database* db, RetryPolicy policy)
     : db_(db),
       policy_(policy),
       // Every non-detect protocol re-seeds backoff from each attempt's
-      // fresh id: prevention aborts (wait-die / no-wait) need it for the
-      // PR 7 livelock fix, and OCC validation aborts (kOcc, and
-      // kAdaptive's optimistic phase) have the same shape — two
-      // transactions that repeatedly invalidate each other's read sets
-      // must not sleep identical delays forever.
+      // fresh id: prevention aborts (wait-die / no-wait) need it to break
+      // retry livelock, and OCC validation aborts have the same shape —
+      // two transactions that repeatedly invalidate each other's read
+      // sets must not sleep identical delays forever.
       prevention_scopes_(db->options().cc_protocol != CcProtocol::kDetect) {
   if (policy_.max_attempts < 1) policy_.max_attempts = 1;
   if (policy_.max_attempts_top < 1) {

@@ -28,13 +28,9 @@ namespace nestedtx {
   X(kStatLockGrants, lock_grants)                                         \
   X(kStatLockWaits, lock_waits)                                           \
   X(kStatDeadlocks, deadlocks)                                            \
-  /* requester died at its own registration */                            \
-  X(kStatDeadlockVictimSelf, deadlock_victims_self)                       \
-  /* waiter victimized by another's cycle check */                        \
-  X(kStatDeadlockVictimOther, deadlock_victims_other)                     \
   X(kStatLockTimeouts, lock_timeouts)                                     \
   /* requesters killed by a prevention protocol (wait-die / no-wait);    \
-     detected-cycle victims stay under deadlocks */                      \
+     requesters that closed a detected cycle stay under deadlocks */    \
   X(kStatPreventionAborts, prevention_aborts)                             \
   X(kStatLocksInherited, locks_inherited)                                 \
   X(kStatVersionsDiscarded, versions_discarded)                           \
@@ -81,8 +77,6 @@ namespace nestedtx {
   X(kStatOccCommits, occ_commits)                                        \
   /* commits (or child merges) rejected by read-set validation */        \
   X(kStatOccValidationAborts, occ_validation_aborts)                     \
-  /* adaptive-controller protocol flips (either direction) */            \
-  X(kStatAdaptiveSwitches, adaptive_switches)                             \
   /* WAL counters (core/wal.h). Monitoring-grade like everything here. */ \
   /* commit images appended to a log shard */                             \
   X(kStatWalAppends, wal_appends)                                         \

@@ -43,18 +43,6 @@ const char* CcModeName(CcMode mode) {
   return "?";
 }
 
-const char* VictimPolicyName(VictimPolicy policy) {
-  switch (policy) {
-    case VictimPolicy::kRequester:
-      return "requester";
-    case VictimPolicy::kYoungestSubtree:
-      return "youngest-subtree";
-    case VictimPolicy::kFewestLocksHeld:
-      return "fewest-locks";
-  }
-  return "?";
-}
-
 const char* CcProtocolName(CcProtocol protocol) {
   switch (protocol) {
     case CcProtocol::kDetect:
@@ -65,8 +53,6 @@ const char* CcProtocolName(CcProtocol protocol) {
       return "no-wait";
     case CcProtocol::kOcc:
       return "occ";
-    case CcProtocol::kAdaptive:
-      return "adaptive";
   }
   return "?";
 }
@@ -530,7 +516,6 @@ Status Transaction::AbortAfterFailedAppend(
   if (manager_->options().cc_mode == CcMode::kSerial) {
     manager_->ReleaseSerialGate();
   }
-  manager_->NoteTopLevelReturn();
   return cause;
 }
 
@@ -621,7 +606,6 @@ Status Transaction::Commit() {
     manager_->stats().Add(kStatTxnsCommitted);
     manager_->stats().Add(kStatTopLevelCommitted);
     if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-    manager_->NoteTopLevelReturn();
     return durable;
   }
 
@@ -719,7 +703,6 @@ Status Transaction::Abort() {
   if (parent_ == nullptr) {
     manager_->stats().Add(kStatTopLevelAborted);
     if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-    manager_->NoteTopLevelReturn();
   } else {
     parent_->active_children_.fetch_sub(1);
   }
@@ -1100,7 +1083,6 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
     stats.Add(kStatTxnsCommitted);
     stats.Add(kStatTopLevelCommitted);
     if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-    manager_->NoteTopLevelReturn();
     return durable;
   }
   // Validation (or replay, or the WAL append) failed: the transaction
@@ -1123,24 +1105,17 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
   stats.Add(kStatTopLevelAborted);
   manager_->locks().ClearDoom(id_);
   if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-  manager_->NoteTopLevelReturn();
   return s;
 }
 
 namespace {
 
-// kOcc/kAdaptive option normalization: the optimistic paths are built on
-// the lock word (seq validation, MICRO write locks), so the ablation
-// switch cannot be honoured; and the adaptive locking fallback must
-// itself be a locking protocol.
+// kOcc option normalization: the optimistic paths are built on the lock
+// word (seq validation, MICRO write locks), so the ablation switch cannot
+// be honoured.
 EngineOptions NormalizeOptions(EngineOptions options) {
-  if (options.cc_protocol == CcProtocol::kOcc ||
-      options.cc_protocol == CcProtocol::kAdaptive) {
+  if (options.cc_protocol == CcProtocol::kOcc) {
     options.lock_word_enabled = true;
-  }
-  if (options.adaptive_locking_protocol == CcProtocol::kOcc ||
-      options.adaptive_locking_protocol == CcProtocol::kAdaptive) {
-    options.adaptive_locking_protocol = CcProtocol::kDetect;
   }
   // A WAL needs somewhere to live; with no directory the knob is off
   // (mirrors how tracing quietly disables the fast lanes).
@@ -1208,92 +1183,6 @@ void TransactionManager::ReleaseTopLevel() {
   admit_cv_.notify_one();
 }
 
-bool TransactionManager::EvaluateAdaptiveLocked() {
-  const StatsSnapshot s = stats_.Snapshot();
-  const uint64_t aborts =
-      s.occ_validation_aborts + s.prevention_aborts + s.deadlocks;
-  const uint64_t waits = s.lock_waits;
-  const uint64_t begun = s.txns_begun;
-  const double d_begun =
-      std::max<double>(1.0, static_cast<double>(begun - adaptive_base_begun_));
-  const double abort_rate =
-      static_cast<double>(aborts - adaptive_base_aborts_) / d_begun;
-  const double wait_rate =
-      static_cast<double>(waits - adaptive_base_waits_) / d_begun;
-  adaptive_base_begun_ = begun;
-  adaptive_base_aborts_ = aborts;
-  adaptive_base_waits_ = waits;
-  if (adaptive_occ_.load(std::memory_order_relaxed)) {
-    // Leave OCC only past the upper threshold; the hysteresis band
-    // between the two knobs prevents border oscillation.
-    return abort_rate <= options_.adaptive_abort_rate_to_locking;
-  }
-  // Return to OCC only when both contention signals are quiet: a locking
-  // epoch with heavy waits but few aborts is still a bad OCC candidate
-  // (those waits would have been validation aborts).
-  return abort_rate < options_.adaptive_abort_rate_to_occ &&
-         wait_rate < options_.adaptive_abort_rate_to_occ;
-}
-
-bool TransactionManager::AdaptiveBeginTopLevel() {
-  // Epoch boundary: the crossing thread takes the mutex and evaluates;
-  // concurrent crossers find the counter already reset and skip. Every
-  // other begin stays on the atomics below.
-  if (options_.adaptive_epoch_txns != 0 &&
-      adaptive_since_eval_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          options_.adaptive_epoch_txns) {
-    std::unique_lock<std::mutex> lk(adaptive_mutex_);
-    if (adaptive_since_eval_.load(std::memory_order_relaxed) >=
-        options_.adaptive_epoch_txns) {
-      adaptive_since_eval_.store(0, std::memory_order_relaxed);
-      const bool want_occ = EvaluateAdaptiveLocked();
-      if (want_occ != adaptive_occ_.load()) {
-        // Drain before flipping: an optimistic reader must never
-        // overlap a locking transaction (the value cache mirrors an
-        // uncommitted deepest-writer version while write holders
-        // exist), and a locking phase must not overlap in-flight OCC
-        // installs.
-        adaptive_switching_.store(true);
-        adaptive_cv_.wait(lk, [&] { return adaptive_inflight_.load() == 0; });
-        adaptive_occ_.store(want_occ);
-        stats_.Add(kStatAdaptiveSwitches);
-        adaptive_switching_.store(false);
-        adaptive_cv_.notify_all();
-      }
-    }
-  }
-  for (;;) {
-    if (!adaptive_switching_.load()) {
-      adaptive_inflight_.fetch_add(1);
-      // Recheck: a drain may have started between the check and the
-      // increment. The drainer is now counting us among the in-flight,
-      // but we have not actually begun — step back out (waking the
-      // drainer if we were the last count) and park like everyone else.
-      if (!adaptive_switching_.load()) {
-        return adaptive_occ_.load();
-      }
-      if (adaptive_inflight_.fetch_sub(1) == 1) {
-        // Lock-step with the drainer's predicate check so the notify
-        // cannot land between its check and its block.
-        { std::lock_guard<std::mutex> sync(adaptive_mutex_); }
-        adaptive_cv_.notify_all();
-      }
-    }
-    std::unique_lock<std::mutex> lk(adaptive_mutex_);
-    adaptive_cv_.wait(lk, [&] { return !adaptive_switching_.load(); });
-  }
-}
-
-void TransactionManager::NoteTopLevelReturn() {
-  if (options_.cc_protocol != CcProtocol::kAdaptive) return;
-  if (adaptive_inflight_.fetch_sub(1) == 1 && adaptive_switching_.load()) {
-    // Same lock-step as the begin-path backout: the drainer checks the
-    // counter under the mutex, so a bare notify could be missed.
-    { std::lock_guard<std::mutex> sync(adaptive_mutex_); }
-    adaptive_cv_.notify_all();
-  }
-}
-
 void TransactionManager::MarkFailed(Status why) {
   std::lock_guard<std::mutex> lk(failed_mutex_);
   if (failed_status_.ok()) failed_status_ = std::move(why);
@@ -1312,20 +1201,15 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
     if (!failed_status_.ok()) return nullptr;
   }
   if (options_.cc_mode == CcMode::kSerial) AcquireSerialGate();
-  bool occ = false;
-  if (options_.cc_protocol == CcProtocol::kOcc) {
-    occ = true;
-  } else if (options_.cc_protocol == CcProtocol::kAdaptive) {
-    occ = AdaptiveBeginTopLevel();
-  }
   TransactionId id = TransactionId::Root().Child(
       top_counter_.fetch_add(1, std::memory_order_relaxed));
   if (EngineTraceRecorder* rec = locks_.trace_recorder()) {
     rec->Emit(Event::RequestCreate(id));
     rec->Emit(Event::Create(id));
   }
-  return std::unique_ptr<Transaction>(
-      new Transaction(this, nullptr, std::move(id), occ));
+  return std::unique_ptr<Transaction>(new Transaction(
+      this, nullptr, std::move(id),
+      /*occ=*/options_.cc_protocol == CcProtocol::kOcc));
 }
 
 }  // namespace nestedtx

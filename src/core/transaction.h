@@ -179,7 +179,7 @@ class Transaction {
   /// aggregate (unsigned wraparound, mirroring ScriptedTransaction).
   void AddToAggregate(Value v);
 
-  // --- Optimistic execution (CcProtocol::kOcc / kAdaptive OCC phase) ---
+  // --- Optimistic execution (CcProtocol::kOcc) ---
   // An OCC handle never touches the lock manager's holder structures:
   // every op lands in a private OccState instead of keys_. Reads resolve
   // own write buffer -> own read set -> ancestors' buffers -> store
@@ -265,8 +265,7 @@ class Transaction {
   std::atomic<bool> doomed_{false};   // kFlat2PL subtree failure
   Value aggregate_ = 0;               // guarded by mutex_; tracing only
 
-  /// True when this handle executes optimistically (kOcc always; under
-  /// kAdaptive, the controller's phase at top-level Begin). Children
+  /// True when this handle executes optimistically (kOcc). Children
   /// inherit the flag, so a whole tree is either optimistic or locking.
   const bool occ_;
   std::unique_ptr<OccState> occ_state_;  // lazily allocated; guarded by mutex_
@@ -329,29 +328,6 @@ class TransactionManager {
   void AcquireSerialGate();
   void ReleaseSerialGate();
 
-  // --- kAdaptive controller (see options.h adaptive_* knobs) ---
-  // Every adaptive_epoch_txns top-level begins, the controller compares
-  // the epoch's abort rate (occ_validation_aborts + prevention_aborts +
-  // deadlocks per begun txn) and lock-wait rate against the hysteresis
-  // thresholds and, on a flip decision, DRAINS: new begins park until
-  // every in-flight top-level returns, then the phase switches. The
-  // drain is what keeps the phases honest — an optimistic reader must
-  // never observe a value cache mirroring a locking transaction's
-  // uncommitted deepest-writer version. Caveat: a thread must not hold
-  // an open top-level transaction while beginning another under
-  // kAdaptive (the drain would wait on itself).
-
-  /// Top-level admission for kAdaptive: runs the epoch evaluation (and
-  /// any drain) and registers the txn in-flight. Returns whether the
-  /// new transaction executes optimistically.
-  bool AdaptiveBeginTopLevel();
-  /// Evaluate the epoch's stats (caller holds adaptive_mutex_); returns
-  /// the desired phase (true = OCC).
-  bool EvaluateAdaptiveLocked();
-  /// Called exactly once when a top-level transaction returns (commit,
-  /// failed OCC commit, or abort). No-op unless kAdaptive.
-  void NoteTopLevelReturn();
-
   EngineOptions options_;
   EngineStats stats_;
   MetricsRegistry metrics_;
@@ -376,22 +352,6 @@ class TransactionManager {
   std::condition_variable admit_cv_;
   uint32_t admitted_ = 0;
   uint32_t admit_queued_ = 0;
-
-  // kAdaptive controller state. The common-case begin touches only the
-  // atomics (the mutex would otherwise serialize every top-level begin
-  // and cost ~25% of hot-cell throughput); adaptive_mutex_ serializes
-  // epoch evaluation, guards the cv, and covers the stat baselines. The
-  // controller starts optimistic; the baselines anchor per-epoch deltas
-  // against the monotone engine counters.
-  std::mutex adaptive_mutex_;
-  std::condition_variable adaptive_cv_;
-  std::atomic<bool> adaptive_occ_{true};
-  std::atomic<bool> adaptive_switching_{false};
-  std::atomic<uint32_t> adaptive_inflight_{0};
-  std::atomic<uint32_t> adaptive_since_eval_{0};
-  uint64_t adaptive_base_begun_ = 0;
-  uint64_t adaptive_base_aborts_ = 0;
-  uint64_t adaptive_base_waits_ = 0;
 };
 
 }  // namespace nestedtx

@@ -1,6 +1,7 @@
 #include "core/wait_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -12,124 +13,43 @@ bool Related(const TransactionId& a, const TransactionId& b) {
   return a.IsAncestorOf(b) || b.IsAncestorOf(a);
 }
 
-// `a` is a "younger subtree" than `b`: deeper in the tree, or at equal
-// depth begun later (child indices grow monotonically, so the
-// lexicographically greater sibling path is the later one).
-bool YoungerSubtree(const TransactionId& a, const TransactionId& b) {
-  if (a.Depth() != b.Depth()) return a.Depth() > b.Depth();
-  return b < a;
-}
-
 }  // namespace
 
-void WaitGraph::SetVictimPolicy(VictimPolicy policy) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  policy_ = policy;
-}
-
 bool WaitGraph::FindCycle(const TransactionId& from,
-                          const TransactionId& target, IdHashSet* no_path,
-                          std::vector<TransactionId>* cycle_waiters) const {
-  // Trail of discovered nodes with parent links so the cycle path can be
-  // reconstructed; `stack` holds indices still to expand (explicit-stack
-  // DFS — deep wait chains must not recurse).
-  struct Trail {
-    TransactionId id;
-    int parent;          // index into trail, -1 for the root
-    int via_waiter;      // index into waiter_ids, -1 for the root
+                          const TransactionId& target,
+                          IdHashSet* no_path) const {
+  // Explicit-stack DFS — deep wait chains must not recurse.
+  std::vector<TransactionId> stack{from};
+  const auto push_edges = [&](NodeMap::const_iterator it) {
+    for (const TransactionId& dst : it->second) {
+      if (no_path->count(dst) == 0) stack.push_back(dst);
+    }
   };
-  std::vector<Trail> trail;
-  std::vector<TransactionId> waiter_ids;  // registered waiters traversed
-  std::vector<size_t> stack;
-  trail.push_back(Trail{from, -1, -1});
-  stack.push_back(0);
-
-  // Expand every registered, non-victimized waiter related to trail[cur]
-  // — its ancestors via one map lookup per path prefix, its descendants
-  // via the contiguous lexicographic range just after it.
-  auto expand = [&](size_t cur) {
-    const auto visit = [&](NodeMap::const_iterator it) {
-      if (it->second.holders.empty()) return;
-      const int via = static_cast<int>(waiter_ids.size());
-      waiter_ids.push_back(it->first);
-      for (const TransactionId& dst : it->second.holders) {
-        if (no_path->count(dst) != 0) continue;
-        trail.push_back(Trail{dst, static_cast<int>(cur), via});
-        stack.push_back(trail.size() - 1);
-      }
-    };
-    for (TransactionId a = trail[cur].id;; a = a.Parent()) {
+  while (!stack.empty()) {
+    const TransactionId id = std::move(stack.back());
+    stack.pop_back();
+    if (Related(id, target)) return true;
+    if (!no_path->insert(id).second) continue;  // already expanded
+    // Expand every registered waiter related to `id` — its ancestors via
+    // one map lookup per path prefix, its descendants via the contiguous
+    // lexicographic range just after it.
+    for (TransactionId a = id;; a = a.Parent()) {
       auto it = waiters_.find(a);
-      if (it != waiters_.end()) visit(it);
+      if (it != waiters_.end()) push_edges(it);
       if (a.IsRoot()) break;
     }
-    // Proper descendants occupy a contiguous key range after the id.
-    const TransactionId self = trail[cur].id;  // trail may reallocate
-    for (auto it = waiters_.upper_bound(self);
-         it != waiters_.end() && self.IsAncestorOf(it->first); ++it) {
-      visit(it);
+    for (auto it = waiters_.upper_bound(id);
+         it != waiters_.end() && id.IsAncestorOf(it->first); ++it) {
+      push_edges(it);
     }
-  };
-
-  while (!stack.empty()) {
-    const size_t cur = stack.back();
-    stack.pop_back();
-    const TransactionId id = trail[cur].id;
-    if (Related(id, target)) {
-      // Reconstruct the registered waiters along the path (victim
-      // candidates; deduped, order irrelevant).
-      for (int i = static_cast<int>(cur); i != -1; i = trail[i].parent) {
-        const int via = trail[i].via_waiter;
-        if (via == -1) continue;
-        const TransactionId& w = waiter_ids[via];
-        if (std::find(cycle_waiters->begin(), cycle_waiters->end(), w) ==
-            cycle_waiters->end()) {
-          cycle_waiters->push_back(w);
-        }
-      }
-      return true;
-    }
-    if (!no_path->insert(id).second) continue;  // already expanded
-    expand(cur);
   }
   // Exhaustive failure: everything in no_path was fully expanded without
   // reaching target, so those negatives are reusable by later checks.
   return false;
 }
 
-TransactionId WaitGraph::ChooseVictim(
-    const TransactionId& requester, uint64_t requester_locks,
-    const std::vector<TransactionId>& cycle_waiters) const {
-  switch (policy_) {
-    case VictimPolicy::kRequester:
-      return requester;
-    case VictimPolicy::kYoungestSubtree: {
-      TransactionId best = requester;
-      for (const TransactionId& cand : cycle_waiters) {
-        if (YoungerSubtree(cand, best)) best = cand;
-      }
-      return best;
-    }
-    case VictimPolicy::kFewestLocksHeld: {
-      TransactionId best = requester;
-      uint64_t best_locks = requester_locks;
-      for (const TransactionId& cand : cycle_waiters) {
-        auto it = waiters_.find(cand);
-        if (it != waiters_.end() && it->second.locks_held < best_locks) {
-          best = cand;
-          best_locks = it->second.locks_held;
-        }
-      }
-      return best;
-    }
-  }
-  return requester;
-}
-
 Status WaitGraph::AddWait(const TransactionId& waiter,
-                          const std::vector<TransactionId>& holders,
-                          const WaiterInfo& info,
-                          std::vector<Wakeup>* wakeups) {
+                          const std::vector<TransactionId>& holders) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TransactionId> useful;
   for (const TransactionId& h : holders) {
@@ -140,47 +60,19 @@ Status WaitGraph::AddWait(const TransactionId& waiter,
   // This registration replaces any previous wait by `waiter`, so the old
   // edges are dropped before the cycle check — stale self-edges must not
   // count as paths (and must not survive a rejected registration).
-  Node& node = waiters_[waiter];
-  node.holders.clear();
-  node.waiter_mutex = info.mutex;
-  node.waiter_cv = info.cv;
-  node.locks_held = info.locks_held;
+  waiters_.erase(waiter);
   if (useful.empty()) return Status::OK();
 
   // Would any holder's blocked-set reach back to the waiter? Negative
-  // results carry across holders (removals cannot create paths); the memo
-  // is discarded after a victimization, whose successful search polluted
-  // it with nodes that did reach the target.
+  // results carry across holders (removals cannot create paths).
   IdHashSet no_path;
-  for (size_t i = 0; i < useful.size();) {
-    const TransactionId& h = useful[i];
-    std::vector<TransactionId> cycle_waiters;
-    if (!FindCycle(h, waiter, &no_path, &cycle_waiters)) {
-      ++i;
-      continue;
-    }
-    const TransactionId victim =
-        ChooseVictim(waiter, info.locks_held, cycle_waiters);
-    if (victim == waiter) {
-      // Keep the entry only if a concurrent check already victimized us
-      // (the pending mark must survive until TakeVictim).
-      if (!node.victim) waiters_.erase(waiter);
+  for (const TransactionId& h : useful) {
+    if (FindCycle(h, waiter, &no_path)) {
       return Status::Deadlock(
           StrCat("wait by ", waiter, " on ", h, " closes a cycle"));
     }
-    // Victimize another waiter on the cycle: mark it, drop its edges (it
-    // is no longer logically waiting), and hand its wakeup to the caller.
-    // Re-check the same holder — a second cycle may remain. Terminates:
-    // every victimization clears a non-empty edge set.
-    Node& v = waiters_[victim];
-    v.victim = true;
-    v.holders.clear();
-    if (v.waiter_cv != nullptr && wakeups != nullptr) {
-      wakeups->push_back(Wakeup{v.waiter_mutex, v.waiter_cv});
-    }
-    no_path.clear();
   }
-  node.holders = std::move(useful);
+  waiters_.emplace(waiter, std::move(useful));
   return Status::OK();
 }
 
@@ -189,21 +81,9 @@ void WaitGraph::RemoveWait(const TransactionId& waiter) {
   waiters_.erase(waiter);
 }
 
-bool WaitGraph::TakeVictim(const TransactionId& waiter) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = waiters_.find(waiter);
-  if (it == waiters_.end() || !it->second.victim) return false;
-  waiters_.erase(it);
-  return true;
-}
-
 size_t WaitGraph::NumWaiters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  size_t n = 0;
-  for (const auto& [id, node] : waiters_) {
-    if (!node.holders.empty()) ++n;
-  }
-  return n;
+  return waiters_.size();
 }
 
 std::vector<TransactionId> WaitGraph::WaitingOn(
@@ -211,41 +91,7 @@ std::vector<TransactionId> WaitGraph::WaitingOn(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = waiters_.find(waiter);
   if (it == waiters_.end()) return {};
-  return it->second.holders;
-}
-
-void WaitGraph::NoteLockAcquired(const TransactionId& txn) {
-  std::lock_guard<std::mutex> lock(counts_mutex_);
-  ++lock_counts_[txn];
-}
-
-void WaitGraph::ApplyLockCountDeltas(
-    const std::vector<LockCountDelta>& deltas) {
-  std::lock_guard<std::mutex> lock(counts_mutex_);
-  for (const LockCountDelta& d : deltas) {
-    auto it = lock_counts_.find(d.first);
-    if (d.second > 0) {
-      if (it == lock_counts_.end()) {
-        lock_counts_.emplace(d.first, static_cast<uint64_t>(d.second));
-      } else {
-        it->second += static_cast<uint64_t>(d.second);
-      }
-      continue;
-    }
-    if (it == lock_counts_.end()) continue;
-    const uint64_t dec = static_cast<uint64_t>(-d.second);
-    if (it->second <= dec) {
-      lock_counts_.erase(it);
-    } else {
-      it->second -= dec;
-    }
-  }
-}
-
-uint64_t WaitGraph::LocksHeldBy(const TransactionId& txn) const {
-  std::lock_guard<std::mutex> lock(counts_mutex_);
-  auto it = lock_counts_.find(txn);
-  return it == lock_counts_.end() ? 0 : it->second;
+  return it->second;
 }
 
 }  // namespace nestedtx

@@ -25,9 +25,10 @@ bool ScriptedTransaction::IsOutput(const Event& e) const {
 }
 
 Value ScriptedTransaction::AggregateValue() const {
-  Value sum = 0;
-  for (const auto& [child, v] : reports_) sum += v;
-  return sum;
+  // Unsigned wraparound: report values span the whole int64 range.
+  uint64_t sum = 0;
+  for (const auto& [child, v] : reports_) sum += static_cast<uint64_t>(v);
+  return static_cast<Value>(sum);
 }
 
 std::vector<Event> ScriptedTransaction::EnabledOutputs() const {

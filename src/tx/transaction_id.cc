@@ -1,5 +1,6 @@
 #include "tx/transaction_id.h"
 
+#include <algorithm>
 #include <cassert>
 #include <ostream>
 
@@ -7,7 +8,8 @@ namespace nestedtx {
 
 TransactionId::TransactionId(const uint32_t* path, uint32_t n) {
   hash_ = HashRange(path, n, kFnvOffset);
-  std::memcpy(MutableAlloc(n), path, size_t{n} * 4);
+  // copy_n, not memcpy: `path` is null for an empty vector.
+  std::copy_n(path, n, MutableAlloc(n));
 }
 
 TransactionId::TransactionId(const uint32_t* path, uint32_t n,

@@ -57,9 +57,8 @@ TEST(CcPolicyWaitDieTest, YoungerRequesterDies) {
   const StatsSnapshot snap = stats.Snapshot();
   EXPECT_EQ(snap.prevention_aborts, 1u);
   // Prevention deaths are NOT detected deadlocks: the deadlocks counter
-  // (and its victim attribution) stays untouched.
+  // stays untouched.
   EXPECT_EQ(snap.deadlocks, 0u);
-  EXPECT_EQ(snap.deadlock_victims_self, 0u);
   lm.OnAbort(T({0}), std::vector<std::string>{"k"});
 }
 

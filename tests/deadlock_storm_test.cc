@@ -1,11 +1,10 @@
 // Stress suite for the lock-wait subsystem: order-inverting deadlock
-// meshes, abort storms, timeout races and seeded fault injection, across
-// both deadlock policies and all victim policies.
+// meshes, abort storms, timeout races and seeded fault injection under
+// wait-for-graph detection, where the requester that closes a cycle dies.
 //
 // Every scenario asserts the drain invariants — the wait graph is empty
-// when the storm ends, every detected deadlock is attributed to exactly
-// one victim (self or other), and the committed state equals what the
-// committed transactions wrote (atomicity survived the storm). The test
+// when the storm ends, and the committed state equals what the committed
+// transactions wrote (atomicity survived the storm). The test
 // completing at all is the liveness assertion: a leaked wait-graph edge
 // or a lost wakeup shows up here as a hang.
 //
@@ -123,9 +122,6 @@ void CheckDrained(Database& db, const StormSpec& spec,
                   const StormOutcome& out) {
   EXPECT_EQ(db.manager().locks().wait_graph().NumWaiters(), 0u);
   const StatsSnapshot snap = db.stats().Snapshot();
-  EXPECT_EQ(snap.deadlocks,
-            snap.deadlock_victims_self + snap.deadlock_victims_other)
-      << snap.ToString();
   // Committed effects are exactly the committed transactions' writes:
   // aborted attempts and victimized subtrees left nothing behind.
   uint64_t sum = 0;
@@ -137,44 +133,32 @@ void CheckDrained(Database& db, const StormSpec& spec,
       << snap.ToString();
 }
 
-EngineOptions StormOptions(DeadlockPolicy dp, VictimPolicy vp) {
-  EngineOptions o;
-  o.deadlock_policy = dp;
-  o.victim_policy = vp;
-  o.lock_timeout = std::chrono::milliseconds(
-      dp == DeadlockPolicy::kWaitForGraph ? 2000 : 25);
-  return o;
-}
-
 class DeadlockStormTest : public ::testing::Test {
  protected:
   // Failpoints are process-global: never leak them into later tests.
   void TearDown() override { FailPoints::DisableAll(); }
 };
 
+// Flat order-inverting mesh; requester-dies is the one victim policy.
 TEST_F(DeadlockStormTest, MeshAllVictimPolicies) {
-  for (VictimPolicy vp :
-       {VictimPolicy::kRequester, VictimPolicy::kYoungestSubtree,
-        VictimPolicy::kFewestLocksHeld}) {
-    SCOPED_TRACE(VictimPolicyName(vp));
-    Database db(StormOptions(DeadlockPolicy::kWaitForGraph, vp));
-    StormSpec spec;
-    spec.txns_per_thread = 250 * StressScale();
-    StormOutcome out = RunStorm(db, spec);
-    EXPECT_EQ(out.gave_up, 0u);
-    EXPECT_EQ(out.committed,
-              uint64_t{8} * static_cast<uint64_t>(spec.txns_per_thread));
-    CheckDrained(db, spec, out);
-    // The mesh must actually have collided — an uncontended run would
-    // prove nothing about the wait path.
-    const StatsSnapshot snap = db.stats().Snapshot();
-    EXPECT_GT(snap.lock_waits + snap.deadlocks, 0u) << snap.ToString();
-  }
+  Database db;
+  StormSpec spec;
+  spec.txns_per_thread = 250 * StressScale();
+  StormOutcome out = RunStorm(db, spec);
+  EXPECT_EQ(out.gave_up, 0u);
+  EXPECT_EQ(out.committed,
+            uint64_t{8} * static_cast<uint64_t>(spec.txns_per_thread));
+  CheckDrained(db, spec, out);
+  // The mesh must actually have collided — an uncontended run would
+  // prove nothing about the wait path.
+  const StatsSnapshot snap = db.stats().Snapshot();
+  EXPECT_GT(snap.lock_waits + snap.deadlocks, 0u) << snap.ToString();
 }
 
+// Nested mesh: the requester that closes a cycle is a depth-2 subtree,
+// so only that subtree retries.
 TEST_F(DeadlockStormTest, NestedMeshYoungestSubtree) {
-  Database db(StormOptions(DeadlockPolicy::kWaitForGraph,
-                           VictimPolicy::kYoungestSubtree));
+  Database db;
   StormSpec spec;
   spec.txns_per_thread = 200 * StressScale();
   spec.nested = true;
@@ -186,8 +170,7 @@ TEST_F(DeadlockStormTest, NestedMeshYoungestSubtree) {
 TEST_F(DeadlockStormTest, NestedAbortStorm) {
   // Voluntary child aborts on top of induced deadlocks: abort-path purge
   // (version discard + lock release + wait-graph sweep) under fire.
-  Database db(StormOptions(DeadlockPolicy::kWaitForGraph,
-                           VictimPolicy::kRequester));
+  Database db;
   StormSpec spec;
   spec.txns_per_thread = 150 * StressScale();
   spec.nested = true;
@@ -196,21 +179,6 @@ TEST_F(DeadlockStormTest, NestedAbortStorm) {
   EXPECT_EQ(out.gave_up, 0u);
   CheckDrained(db, spec, out);
   EXPECT_GT(db.stats().Snapshot().txns_aborted, 0u);
-}
-
-TEST_F(DeadlockStormTest, TimeoutOnlyMesh) {
-  // No graph: deadlocks surface as timeout races. Progress is slower, so
-  // completion (no hang) and atomicity are the assertions, not zero
-  // give-ups.
-  Database db(StormOptions(DeadlockPolicy::kTimeoutOnly,
-                           VictimPolicy::kRequester));
-  StormSpec spec;
-  spec.txns_per_thread = 60 * StressScale();
-  spec.writes_per_txn = 2;
-  StormOutcome out = RunStorm(db, spec);
-  EXPECT_EQ(out.committed + out.gave_up,
-            uint64_t{8} * static_cast<uint64_t>(spec.txns_per_thread));
-  CheckDrained(db, spec, out);
 }
 
 TEST_F(DeadlockStormTest, FailpointStormGraphPolicy) {
@@ -233,8 +201,7 @@ TEST_F(DeadlockStormTest, FailpointStormGraphPolicy) {
   FailPoints::Enable(FailPoints::kCommitInherit, delay_only);
   FailPoints::Enable(FailPoints::kAbortPurge, delay_only);
 
-  Database db(StormOptions(DeadlockPolicy::kWaitForGraph,
-                           VictimPolicy::kYoungestSubtree));
+  Database db;
   StormSpec spec;
   spec.txns_per_thread = 80 * StressScale();
   StormOutcome out = RunStorm(db, spec);
@@ -257,8 +224,7 @@ TEST_F(DeadlockStormTest, FailpointCommitReleaseStorm) {
   FailPoints::Enable(FailPoints::kCommitInherit, release);
   FailPoints::Enable(FailPoints::kAbortPurge, release);
 
-  Database db(StormOptions(DeadlockPolicy::kWaitForGraph,
-                           VictimPolicy::kYoungestSubtree));
+  Database db;
   StormSpec spec;
   spec.txns_per_thread = 60 * StressScale();
   spec.nested = true;
@@ -268,31 +234,6 @@ TEST_F(DeadlockStormTest, FailpointCommitReleaseStorm) {
   CheckDrained(db, spec, out);
   const StatsSnapshot snap = db.stats().Snapshot();
   EXPECT_GT(snap.wakeups_issued, 0u) << snap.ToString();
-  EXPECT_GT(FailPoints::InjectionCount(), 0u);
-}
-
-TEST_F(DeadlockStormTest, FailpointStormTimeoutPolicy) {
-  FailPoints::Seed(0xF00Du);
-  FailPoints::Config grant;
-  grant.delay_one_in = 16;
-  grant.delay_us = 50;
-  grant.timeout_one_in = 29;
-  FailPoints::Enable(FailPoints::kLockGrant, grant);
-  FailPoints::Config wakeup;
-  wakeup.spurious_wakeup_one_in = 6;
-  wakeup.delay_one_in = 16;
-  wakeup.delay_us = 50;
-  FailPoints::Enable(FailPoints::kWaitWakeup, wakeup);
-
-  Database db(StormOptions(DeadlockPolicy::kTimeoutOnly,
-                           VictimPolicy::kRequester));
-  StormSpec spec;
-  spec.txns_per_thread = 40 * StressScale();
-  spec.writes_per_txn = 2;
-  StormOutcome out = RunStorm(db, spec);
-  EXPECT_EQ(out.committed + out.gave_up,
-            uint64_t{8} * static_cast<uint64_t>(spec.txns_per_thread));
-  CheckDrained(db, spec, out);
   EXPECT_GT(FailPoints::InjectionCount(), 0u);
 }
 
@@ -312,36 +253,32 @@ void ValidateTrace(Database& db) {
 }
 
 TEST_F(DeadlockStormTest, TracedStormSeriallyCorrect) {
-  for (DeadlockPolicy dp :
-       {DeadlockPolicy::kWaitForGraph, DeadlockPolicy::kTimeoutOnly}) {
-    SCOPED_TRACE(dp == DeadlockPolicy::kWaitForGraph ? "graph" : "timeout");
-    FailPoints::Seed(0xBEEFu);
-    FailPoints::Config wakeup;
-    wakeup.spurious_wakeup_one_in = 4;
-    wakeup.deadlock_one_in = 53;
-    FailPoints::Enable(FailPoints::kWaitWakeup, wakeup);
+  FailPoints::Seed(0xBEEFu);
+  FailPoints::Config wakeup;
+  wakeup.spurious_wakeup_one_in = 4;
+  wakeup.deadlock_one_in = 53;
+  FailPoints::Enable(FailPoints::kWaitWakeup, wakeup);
 
-    EngineOptions o = StormOptions(dp, VictimPolicy::kYoungestSubtree);
-    o.lock_timeout = std::chrono::milliseconds(300);
-    Database db(o);
-    ASSERT_TRUE(db.EnableTracing().ok());
-    // Kept small: checker cost grows with schedule length, and every
-    // aborted attempt (deadlock victim, injected fault, voluntary abort)
-    // adds events.
-    StormSpec spec;
-    spec.threads = 3;
-    spec.txns_per_thread = 8;
-    spec.num_keys = 3;
-    spec.writes_per_txn = 2;
-    spec.nested = true;
-    spec.voluntary_abort_p = 0.2;
-    StormOutcome out = RunStorm(db, spec);
-    FailPoints::DisableAll();
-    EXPECT_EQ(out.committed + out.gave_up,
-              uint64_t{3} * static_cast<uint64_t>(spec.txns_per_thread));
-    CheckDrained(db, spec, out);
-    ValidateTrace(db);
-  }
+  EngineOptions o;
+  o.lock_timeout = std::chrono::milliseconds(300);
+  Database db(o);
+  ASSERT_TRUE(db.EnableTracing().ok());
+  // Kept small: checker cost grows with schedule length, and every
+  // aborted attempt (deadlock victim, injected fault, voluntary abort)
+  // adds events.
+  StormSpec spec;
+  spec.threads = 3;
+  spec.txns_per_thread = 8;
+  spec.num_keys = 3;
+  spec.writes_per_txn = 2;
+  spec.nested = true;
+  spec.voluntary_abort_p = 0.2;
+  StormOutcome out = RunStorm(db, spec);
+  FailPoints::DisableAll();
+  EXPECT_EQ(out.committed + out.gave_up,
+            uint64_t{3} * static_cast<uint64_t>(spec.txns_per_thread));
+  CheckDrained(db, spec, out);
+  ValidateTrace(db);
 }
 
 }  // namespace

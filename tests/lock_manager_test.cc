@@ -120,6 +120,17 @@ TEST_F(LockManagerTest, TopLevelCommitInstallsBase) {
   EXPECT_EQ(**r, 4);
 }
 
+// A directly constructed manager clamps lock_table_shards = 0 to one
+// shard, on the grant path and on the string-keyed release path alike.
+TEST_F(LockManagerTest, ZeroShardsClampToOne) {
+  EngineOptions o = MakeOptions();
+  o.lock_table_shards = 0;
+  LockManager lm(o, &stats_);
+  ASSERT_TRUE(lm.AcquireWrite(T({0}), "k", Set(3)).ok());
+  lm.OnCommit(T({0}), TransactionId::Root(), {"k"});
+  EXPECT_EQ(lm.ReadBase("k").value(), 3);
+}
+
 TEST_F(LockManagerTest, AbortRestoresPriorState) {
   lm_.SetBase("k", 10);
   ASSERT_TRUE(lm_.AcquireWrite(T({0}), "k", Set(99)).ok());
@@ -291,51 +302,6 @@ TEST(LockManagerStaleEdgeTest, SecondIterationDeadlockLeavesNoEdges) {
   EXPECT_GE(stats.Snapshot().deadlocks, 1u);
 }
 
-// Cross-thread victimization: under kYoungestSubtree the deeper waiter is
-// chosen, woken by the requester, and reports Deadlock from its own wait;
-// the requester's registration proceeds.
-TEST(LockManagerVictimPolicyTest, YoungestSubtreeVictimizesDeeperWaiter) {
-  EngineOptions o;
-  o.lock_timeout = std::chrono::seconds(5);
-  o.victim_policy = VictimPolicy::kYoungestSubtree;
-  EngineStats stats;
-  LockManager lm(o, &stats);
-  const LockManager::Mutator set1 = [](std::optional<int64_t>) {
-    return std::optional<int64_t>(1);
-  };
-
-  const TransactionId deep = T({0, 0});  // depth 2
-  const TransactionId q = T({1});        // depth 1
-
-  ASSERT_TRUE(lm.AcquireWrite(deep, "a", set1).ok());
-  ASSERT_TRUE(lm.AcquireWrite(q, "b", set1).ok());
-
-  Status deep_status;
-  std::thread td([&] {
-    deep_status = lm.AcquireWrite(deep, "b", set1).status();
-    // The real transaction layer aborts a victim, releasing its locks.
-    if (!deep_status.ok()) {
-      lm.OnAbort(deep, std::vector<std::string>{"a", "b"});
-    }
-  });
-  ASSERT_TRUE(WaitUntil([&] { return lm.wait_graph().NumWaiters() == 1; }));
-
-  // q closes the cycle; the deeper waiter dies in its stead and q is
-  // eventually granted the lock.
-  auto granted = lm.AcquireWrite(q, "a", set1);
-  EXPECT_TRUE(granted.ok()) << granted.status().ToString();
-  td.join();
-  EXPECT_TRUE(deep_status.IsDeadlock()) << deep_status.ToString();
-
-  StatsSnapshot snap = stats.Snapshot();
-  EXPECT_GE(snap.deadlock_victims_other, 1u);
-  EXPECT_EQ(snap.deadlock_victims_self, 0u);
-  EXPECT_EQ(snap.deadlocks,
-            snap.deadlock_victims_self + snap.deadlock_victims_other);
-  EXPECT_EQ(lm.wait_graph().NumWaiters(), 0u);
-  lm.OnAbort(q, std::vector<std::string>{"a", "b"});
-}
-
 // Regression for the wake-classification race: a waiter whose deadline
 // trips must NOT blindly report Timeout — a doom (or grant, or victim
 // mark) may have landed just as the timer expired, published under
@@ -411,80 +377,6 @@ TEST(LockManagerWakeClassificationTest, PlainDeadlineStillReportsTimeout) {
   EXPECT_EQ(snap.lock_timeouts, 1u);
   EXPECT_EQ(snap.waits_cancelled, 0u);
   lm.OnAbort(T({1}), std::vector<std::string>{"k"});
-}
-
-// Regression for the victim x doom race: a waiter victimized by another
-// transaction's cycle check while an ancestor abort dooms its subtree in
-// the same window must report exactly ONE terminal status — Deadlock,
-// per the pinned precedence (victim > doomed) — and bump exactly one
-// counter. Pre-fix, the doomed branches returned Cancelled without
-// consuming a delivered victim mark: which status (and counter) won
-// depended on which notification the wake saw first, and the losing
-// victim mark was silently erased by the cleanup sweep. The wait_wakeup
-// delay stretches the wake-to-classify window to 300ms so the doom
-// deterministically lands while the victim mark is already in flight.
-TEST(LockManagerWakeClassificationTest, VictimBeatsDoomInSameWindow) {
-  EngineOptions o;
-  o.lock_timeout = std::chrono::seconds(5);
-  o.victim_policy = VictimPolicy::kYoungestSubtree;
-  EngineStats stats;
-  LockManager lm(o, &stats);
-  const LockManager::Mutator set1 = [](std::optional<int64_t>) {
-    return std::optional<int64_t>(1);
-  };
-
-  const TransactionId deep = T({0, 0});  // depth 2: the chosen victim
-  const TransactionId q = T({1});
-
-  ASSERT_TRUE(lm.AcquireWrite(deep, "a", set1).ok());
-  ASSERT_TRUE(lm.AcquireWrite(q, "b", set1).ok());
-
-  // Every wake inside the wait loop sleeps 300ms before classifying.
-  FailPoints::Seed(1);
-  FailPoints::Config cfg;
-  cfg.delay_one_in = 1;
-  cfg.delay_us = 300000;
-  FailPoints::Enable(FailPoints::kWaitWakeup, cfg);
-
-  Status deep_status;
-  std::thread td([&] {
-    deep_status = lm.AcquireWrite(deep, "b", set1).status();
-    // The real transaction layer aborts a victim, releasing its locks.
-    if (!deep_status.ok()) {
-      lm.OnAbort(deep, std::vector<std::string>{"a", "b"});
-    }
-  });
-  ASSERT_TRUE(WaitUntil([&] { return lm.wait_graph().NumWaiters() == 1; }));
-
-  // q closes the cycle: deep is marked victim and woken, entering its
-  // stretched classification window; q parks waiting for deep's locks.
-  Status q_status;
-  std::thread tq([&] {
-    q_status = lm.AcquireWrite(q, "a", set1).status();
-  });
-  // Land the doom squarely inside deep's 300ms window, while the victim
-  // mark is still undelivered — the racing pair the precedence pins.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  lm.DoomSubtree(T({0}));
-  td.join();
-  tq.join();
-  FailPoints::DisableAll();
-
-  EXPECT_TRUE(deep_status.IsDeadlock()) << deep_status.ToString();
-  EXPECT_TRUE(q_status.ok()) << q_status.ToString();
-  // Exactly one terminal outcome on exactly one counter: the victim
-  // path, never the cancellation path.
-  const StatsSnapshot snap = stats.Snapshot();
-  EXPECT_EQ(snap.deadlock_victims_other, 1u);
-  EXPECT_EQ(snap.waits_cancelled, 0u);
-  EXPECT_EQ(snap.deadlocks,
-            snap.deadlock_victims_self + snap.deadlock_victims_other);
-  // No residue: the consumed victim mark also cleared the registration.
-  EXPECT_EQ(lm.wait_graph().NumWaiters(), 0u);
-  lm.ClearDoom(T({0}));
-  EXPECT_EQ(lm.DoomedRootCount(), 0u);
-  EXPECT_EQ(lm.ParkedWaiterCount(), 0u);
-  lm.OnAbort(q, std::vector<std::string>{"a", "b"});
 }
 
 }  // namespace

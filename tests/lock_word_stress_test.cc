@@ -39,7 +39,6 @@ int StressScale() {
 
 EngineOptions StormOptions() {
   EngineOptions o;
-  o.victim_policy = VictimPolicy::kYoungestSubtree;
   o.lock_timeout = std::chrono::milliseconds(2000);
   return o;
 }

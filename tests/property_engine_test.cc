@@ -90,16 +90,11 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.label;
     });
 
-// Deadlock-policy sweep: both policies must preserve the invariant; the
-// graph policy should produce deadlock verdicts, the timeout policy
-// timeout verdicts, under an order-inverting workload.
-class DeadlockPolicyTest
-    : public ::testing::TestWithParam<DeadlockPolicy> {};
-
-TEST_P(DeadlockPolicyTest, OrderInversionResolvesAndConserves) {
+// Order-inverting workload under wait-for-graph detection: every cycle
+// is broken and the invariant is preserved.
+TEST(DeadlockResolutionTest, OrderInversionResolvesAndConserves) {
   EngineOptions options;
   options.cc_mode = CcMode::kMossRW;
-  options.deadlock_policy = GetParam();
   options.lock_timeout = std::chrono::milliseconds(50);
   Database db(options);
   db.Preload("a", 0);
@@ -123,21 +118,7 @@ TEST_P(DeadlockPolicyTest, OrderInversionResolvesAndConserves) {
   EXPECT_EQ(committed.load(), 50);
   EXPECT_EQ(db.ReadCommitted("a").value(), 50);
   EXPECT_EQ(db.ReadCommitted("b").value(), 50);
-  if (GetParam() == DeadlockPolicy::kTimeoutOnly) {
-    EXPECT_EQ(db.stats().Snapshot().deadlocks, 0u);
-  }
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, DeadlockPolicyTest,
-                         ::testing::Values(DeadlockPolicy::kWaitForGraph,
-                                           DeadlockPolicy::kTimeoutOnly),
-                         [](const ::testing::TestParamInfo<DeadlockPolicy>&
-                                info) {
-                           return info.param ==
-                                          DeadlockPolicy::kWaitForGraph
-                                      ? "wait_for_graph"
-                                      : "timeout_only";
-                         });
 
 // Nesting-depth sweep: a chain of subtransactions depth D deep, where
 // the innermost writes and every level commits; the value must surface.

@@ -29,56 +29,51 @@ class RetryTest : public ::testing::Test {
 // Orphan cancellation.
 
 TEST_F(RetryTest, CancelWakesParkedWaiter) {
-  for (DeadlockPolicy dp :
-       {DeadlockPolicy::kWaitForGraph, DeadlockPolicy::kTimeoutOnly}) {
-    SCOPED_TRACE(dp == DeadlockPolicy::kWaitForGraph ? "graph" : "timeout");
-    EngineOptions o;
-    o.deadlock_policy = dp;
-    // Far longer than the test should take: a waiter that misses the
-    // cancellation wakeup fails the elapsed-time assertion long before
-    // this expires.
-    o.lock_timeout = std::chrono::milliseconds(30000);
-    Database db(o);
+  EngineOptions o;
+  // Far longer than the test should take: a waiter that misses the
+  // cancellation wakeup fails the elapsed-time assertion long before
+  // this expires.
+  o.lock_timeout = std::chrono::milliseconds(30000);
+  Database db(o);
 
-    auto holder = db.Begin();
-    ASSERT_TRUE(holder->Put("k", 1).ok());
+  auto holder = db.Begin();
+  ASSERT_TRUE(holder->Put("k", 1).ok());
 
-    auto top = db.Begin();
-    Result<std::unique_ptr<Transaction>> child = top->BeginChild();
-    ASSERT_TRUE(child.ok());
+  auto top = db.Begin();
+  Result<std::unique_ptr<Transaction>> child = top->BeginChild();
+  ASSERT_TRUE(child.ok());
 
-    std::atomic<bool> started{false};
-    Status got;
-    std::chrono::milliseconds waited{0};
-    std::thread waiter([&] {
-      started.store(true);
-      const auto start = steady_clock::now();
-      got = (*child)->Get("k").status();
-      waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-          steady_clock::now() - start);
-    });
-    while (!started.load()) std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::atomic<bool> started{false};
+  Status got;
+  std::chrono::milliseconds waited{0};
+  std::thread waiter([&] {
+    started.store(true);
+    const auto start = steady_clock::now();
+    got = (*child)->Get("k").status();
+    waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+        steady_clock::now() - start);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-    top->Cancel();
-    waiter.join();
+  top->Cancel();
+  waiter.join();
 
-    EXPECT_TRUE(got.IsCancelled()) << got.ToString();
-    EXPECT_LT(waited.count(), 10000) << "missed the cancellation wakeup";
-    // The whole subtree is doomed: the top itself short-circuits too.
-    EXPECT_TRUE(top->Put("other", 1).IsCancelled());
-    EXPECT_TRUE(db.manager().locks().IsDoomed(top->id()));
+  EXPECT_TRUE(got.IsCancelled()) << got.ToString();
+  EXPECT_LT(waited.count(), 10000) << "missed the cancellation wakeup";
+  // The whole subtree is doomed: the top itself short-circuits too.
+  EXPECT_TRUE(top->Put("other", 1).IsCancelled());
+  EXPECT_TRUE(db.manager().locks().IsDoomed(top->id()));
 
-    ASSERT_TRUE((*child)->Abort().ok());
-    ASSERT_TRUE(top->Abort().ok());
-    ASSERT_TRUE(holder->Commit().ok());
+  ASSERT_TRUE((*child)->Abort().ok());
+  ASSERT_TRUE(top->Abort().ok());
+  ASSERT_TRUE(holder->Commit().ok());
 
-    const StatsSnapshot snap = db.stats().Snapshot();
-    EXPECT_GE(snap.waits_cancelled, 1u) << snap.ToString();
-    // The abort lifted the doom and the park table drained.
-    EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
-    EXPECT_EQ(db.manager().locks().ParkedWaiterCount(), 0u);
-  }
+  const StatsSnapshot snap = db.stats().Snapshot();
+  EXPECT_GE(snap.waits_cancelled, 1u) << snap.ToString();
+  // The abort lifted the doom and the park table drained.
+  EXPECT_EQ(db.manager().locks().DoomedRootCount(), 0u);
+  EXPECT_EQ(db.manager().locks().ParkedWaiterCount(), 0u);
 }
 
 TEST_F(RetryTest, CancelBeforeWaitShortCircuitsWithoutParking) {

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <set>
 
 #include "core/wait_graph.h"
@@ -147,105 +145,6 @@ TEST(WaitGraphTest, LongChainIterativeDetectorNoOverflow) {
   }
   EXPECT_TRUE(g.AddWait(T({kChain}), {T({0})}).IsDeadlock());
   EXPECT_EQ(g.NumWaiters(), size_t{kChain});
-}
-
-TEST(WaitGraphTest, VictimPolicyYoungestSubtreeSparesRequester) {
-  WaitGraph g;
-  g.SetVictimPolicy(VictimPolicy::kYoungestSubtree);
-  std::mutex m;
-  std::condition_variable cv;
-  WaitGraph::WaiterInfo deep_info;
-  deep_info.mutex = &m;
-  deep_info.cv = &cv;
-  std::vector<WaitGraph::Wakeup> wakeups;
-  // Deep waiter T0.0.0 waits on T0.1; shallow requester T0.1 closes the
-  // cycle. The deeper (cheaper to retry) waiter is victimized instead of
-  // the requester.
-  ASSERT_TRUE(g.AddWait(T({0, 0}), {T({1})}, deep_info, &wakeups).ok());
-  WaitGraph::WaiterInfo req_info;
-  Status s = g.AddWait(T({1}), {T({0})}, req_info, &wakeups);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  ASSERT_EQ(wakeups.size(), 1u);
-  EXPECT_EQ(wakeups[0].mutex, &m);
-  EXPECT_EQ(wakeups[0].cv, &cv);
-  // The victim's edges were cleared; its mark is consumable exactly once.
-  EXPECT_TRUE(g.WaitingOn(T({0, 0})).empty());
-  EXPECT_TRUE(g.TakeVictim(T({0, 0})));
-  EXPECT_FALSE(g.TakeVictim(T({0, 0})));
-  // The requester's wait stands.
-  EXPECT_EQ(g.NumWaiters(), 1u);
-  ASSERT_EQ(g.WaitingOn(T({1})).size(), 1u);
-}
-
-TEST(WaitGraphTest, VictimPolicyYoungestSubtreeEqualDepthTieGoesToRequester) {
-  WaitGraph g;
-  g.SetVictimPolicy(VictimPolicy::kYoungestSubtree);
-  std::mutex m;
-  std::condition_variable cv;
-  WaitGraph::WaiterInfo info;
-  info.mutex = &m;
-  info.cv = &cv;
-  std::vector<WaitGraph::Wakeup> wakeups;
-  // Both the registered waiter and the requester are depth 1 and the
-  // requester compares "younger or equal" — ties die at the requester
-  // (no cross-thread signalling needed).
-  ASSERT_TRUE(g.AddWait(T({0}), {T({1})}, info, &wakeups).ok());
-  Status s = g.AddWait(T({1}), {T({0})}, info, &wakeups);
-  EXPECT_TRUE(s.IsDeadlock());
-  EXPECT_TRUE(wakeups.empty());
-  EXPECT_EQ(g.NumWaiters(), 1u);
-}
-
-TEST(WaitGraphTest, VictimPolicyFewestLocksHeld) {
-  WaitGraph g;
-  g.SetVictimPolicy(VictimPolicy::kFewestLocksHeld);
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<WaitGraph::Wakeup> wakeups;
-
-  // Registered waiter holds fewer locks than the requester: it dies.
-  WaitGraph::WaiterInfo cheap;
-  cheap.mutex = &m;
-  cheap.cv = &cv;
-  cheap.locks_held = 1;
-  ASSERT_TRUE(g.AddWait(T({0}), {T({1})}, cheap, &wakeups).ok());
-  WaitGraph::WaiterInfo rich;
-  rich.locks_held = 7;
-  EXPECT_TRUE(g.AddWait(T({1}), {T({0})}, rich, &wakeups).ok());
-  ASSERT_EQ(wakeups.size(), 1u);
-  EXPECT_TRUE(g.TakeVictim(T({0})));
-
-  // Fresh cycle where the requester is the cheaper one: requester dies,
-  // nobody is signalled.
-  wakeups.clear();
-  g.RemoveWait(T({1}));
-  WaitGraph::WaiterInfo rich2;
-  rich2.mutex = &m;
-  rich2.cv = &cv;
-  rich2.locks_held = 9;
-  ASSERT_TRUE(g.AddWait(T({2}), {T({3})}, rich2, &wakeups).ok());
-  WaitGraph::WaiterInfo cheap2;
-  cheap2.locks_held = 2;
-  EXPECT_TRUE(g.AddWait(T({3}), {T({2})}, cheap2, &wakeups).IsDeadlock());
-  EXPECT_TRUE(wakeups.empty());
-  EXPECT_FALSE(g.TakeVictim(T({2})));
-}
-
-TEST(WaitGraphTest, VictimizedEntryNotCountedAsWaiter) {
-  WaitGraph g;
-  g.SetVictimPolicy(VictimPolicy::kYoungestSubtree);
-  std::mutex m;
-  std::condition_variable cv;
-  WaitGraph::WaiterInfo info;
-  info.mutex = &m;
-  info.cv = &cv;
-  std::vector<WaitGraph::Wakeup> wakeups;
-  ASSERT_TRUE(g.AddWait(T({0, 0}), {T({1})}, info, &wakeups).ok());
-  ASSERT_TRUE(g.AddWait(T({1}), {T({0})}, info, &wakeups).ok());
-  ASSERT_EQ(wakeups.size(), 1u);
-  // T0.0.0 is victimized but has not picked up the mark yet: its wait is
-  // over, so it must not show up as a waiter (nor as a blocking edge).
-  EXPECT_EQ(g.NumWaiters(), 1u);
 }
 
 // ---------------------------------------------------------------------------

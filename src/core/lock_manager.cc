@@ -1,6 +1,7 @@
 #include "core/lock_manager.h"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <set>
 #include <thread>
@@ -47,11 +48,13 @@ constexpr int kFastSpinBudget = 64;
 // writer's version, else base), so the seqlock read lane never touches
 // the plain structures.
 struct LockManager::KeyState {
-  KeyState(std::string k, bool born_inflated)
+  KeyState(std::string k, size_t h, bool born_inflated)
       : key(std::move(k)),
+        hash(h),
         hot{{born_inflated ? kWordInflated : 0}} {}
 
-  const std::string key;  // for trace emission from slow-path grants
+  const std::string key;  // the lock table's only copy; also for traces
+  const size_t hash;      // std::hash of key: probe start and compare
   LockWordPair hot;       // lock word + seqlock value cache
   std::mutex m;
   std::condition_variable cv;
@@ -147,7 +150,63 @@ class WordSection {
   bool locked_ = false;
 };
 
+// Lock-table shards. The count splits only inserts (a hit takes no
+// shard mutex), so it is a constant: the low hash bits pick the shard,
+// the bits above them the probe start.
+constexpr size_t kShardBits = 6;
+constexpr size_t kLockTableShards = size_t{1} << kShardBits;
+// First table size per shard; a table doubles before it is half full.
+constexpr size_t kInitialSlots = 16;
+
 }  // namespace
+
+// Cache-line aligned, so inserts into one shard (its mutex) never
+// invalidate the line holding another shard's table pointer.
+struct alignas(64) LockManager::Shard {
+  // One published table: a power-of-two array of KeyState pointers,
+  // probed linearly from the hash bits above the shard index. A slot
+  // changes once, from null to its KeyState.
+  struct Table {
+    explicit Table(size_t capacity)
+        : mask(capacity - 1),
+          slots(std::make_unique<std::atomic<KeyState*>[]>(capacity)) {}
+
+    size_t Start(size_t hash) const { return (hash >> kShardBits) & mask; }
+
+    // The key's KeyState, or null when this table does not hold it.
+    KeyState* Find(size_t hash, const std::string& key) const {
+      for (size_t i = Start(hash);; i = (i + 1) & mask) {
+        KeyState* ks = slots[i].load(std::memory_order_acquire);
+        if (ks == nullptr || (ks->hash == hash && ks->key == key)) return ks;
+      }
+    }
+
+    // First empty slot on the hash's probe path (caller holds m).
+    size_t FreeSlot(size_t hash) const {
+      size_t i = Start(hash);
+      while (slots[i].load(std::memory_order_relaxed) != nullptr) {
+        i = (i + 1) & mask;
+      }
+      return i;
+    }
+
+    const size_t mask;
+    const std::unique_ptr<std::atomic<KeyState*>[]> slots;
+  };
+
+  Shard() { table.store(&tables.emplace_back(kInitialSlots)); }
+
+  // The current table: release-stored under m, acquire-loaded by hits.
+  std::atomic<const Table*> table;
+  // Serializes inserts and growth; hits never take it.
+  std::mutex m;
+  // Under m: this shard's KeyStates in insertion order (a deque never
+  // moves them), and every table the shard has published, the current
+  // one last. Outgrown tables stay until the manager is destroyed, since
+  // a reader may still be probing one.
+  std::deque<KeyState> states;
+  std::deque<Table> tables;
+};
 
 LockManager::LockManager(const EngineOptions& options, EngineStats* stats,
                          MetricsRegistry* metrics)
@@ -155,22 +214,50 @@ LockManager::LockManager(const EngineOptions& options, EngineStats* stats,
       stats_(stats),
       metrics_(metrics),
       policy_(MakeConflictPolicy(options)),
-      // Clamped: GetKeyState and ReleaseBatch index by hash % size.
-      shards_(std::max<size_t>(options.lock_table_shards, 1)) {}
+      shards_(std::make_unique<Shard[]>(kLockTableShards)) {}
 
 LockManager::~LockManager() = default;
 
 LockManager::KeyState& LockManager::GetKeyState(const std::string& key) {
-  Shard& shard = shards_[std::hash<std::string>{}(key) % shards_.size()];
+  const size_t hash = std::hash<std::string>{}(key);
+  Shard& shard = shards_[hash & (kLockTableShards - 1)];
+  KeyState* ks = shard.table.load(std::memory_order_acquire)->Find(hash, key);
+  return ks != nullptr ? *ks : InsertKeyState(shard, hash, key);
+}
+
+LockManager::KeyState& LockManager::InsertKeyState(Shard& shard,
+                                                   size_t hash,
+                                                   const std::string& key) {
   std::lock_guard<std::mutex> lock(shard.m);
-  auto it = shard.keys.find(key);
-  if (it == shard.keys.end()) {
-    it = shard.keys
-             .emplace(key, std::make_unique<KeyState>(
-                               key, !options_.lock_word_enabled))
-             .first;
+  const Shard::Table* t = &shard.tables.back();
+  if (KeyState* ks = t->Find(hash, key)) return *ks;
+  if (2 * (shard.states.size() + 1) > t->mask + 1) {
+    // Grow: fill a doubled table while it is private, then publish it.
+    Shard::Table& grown = shard.tables.emplace_back(2 * (t->mask + 1));
+    for (KeyState& old : shard.states) {
+      grown.slots[grown.FreeSlot(old.hash)].store(&old,
+                                                   std::memory_order_relaxed);
+    }
+    shard.table.store(&grown, std::memory_order_release);
+    t = &grown;
   }
-  return *it->second;
+  KeyState& ks =
+      shard.states.emplace_back(key, hash, !options_.lock_word_enabled);
+  t->slots[t->FreeSlot(hash)].store(&ks, std::memory_order_release);
+  return ks;
+}
+
+std::vector<LockManager::KeyState*> LockManager::AllKeyStates() {
+  // KeyStates are stable for the manager's lifetime, so callers read
+  // each one under its own mutex afterwards: no shard mutex is ever held
+  // across a key mutex.
+  std::vector<KeyState*> out;
+  for (size_t s = 0; s < kLockTableShards; ++s) {
+    Shard& shard = shards_[s];
+    std::lock_guard<std::mutex> lock(shard.m);
+    for (KeyState& ks : shard.states) out.push_back(&ks);
+  }
+  return out;
 }
 
 std::optional<int64_t> LockManager::CurrentValue(const KeyState& ks) {
@@ -768,7 +855,7 @@ void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
   // Each released mode requests a wakeup, but only if some thread is
   // actually parked on this key — the waiter-count handshake (see
   // KeyState::waiters) makes the skip lossless. A dual-mode holder's two
-  // requests are coalesced to one notify in phase 3.
+  // requests are coalesced to one notify in phase 2.
   if (parent.IsRoot()) {
     // Top-level commit: release the locks, install the version as base.
     if (auto version = ks.write_holders.TryTake(txn)) {
@@ -891,57 +978,25 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
                                const KeyOf& key_of, const HeldOf& held_of) {
   if (n == 0) return;
 
-  // Batch buffers are thread-local: a release runs to completion on its
-  // calling thread and never reenters the release path, so reusing the
-  // buffers' capacity keeps repeated small batches allocation-free.
-  thread_local std::vector<KeyState*> states;
-  thread_local std::vector<std::pair<size_t, size_t>> uncached;
+  // The scratch is thread-local: a release runs to completion on its
+  // calling thread and never reenters the release path, so reusing its
+  // capacity keeps repeated small batches allocation-free.
   thread_local ReleaseScratch scratch;
-  states.assign(n, nullptr);
-  uncached.clear();  // (shard, key index)
   scratch.Reset();
 
-  // Phase 1: resolve every KeyState. Cached handles go direct — no
-  // shard hash at all on the fast path; the remainder are bucketed by
-  // shard and resolved under one shard-mutex hold per shard instead of
-  // one lock/unlock cycle per key.
-  for (size_t i = 0; i < n; ++i) {
-    const HeldLock* held = held_of(i);
-    if (held != nullptr && held->key != nullptr) {
-      states[i] = held->key;
-    } else {
-      uncached.emplace_back(
-          std::hash<std::string>{}(key_of(i)) % shards_.size(), i);
-    }
-  }
-  if (!uncached.empty()) {
-    std::sort(uncached.begin(), uncached.end());
-    for (size_t j = 0; j < uncached.size();) {
-      Shard& shard = shards_[uncached[j].first];
-      std::lock_guard<std::mutex> lock(shard.m);
-      for (const size_t s = uncached[j].first;
-           j < uncached.size() && uncached[j].first == s; ++j) {
-        const std::string& key = key_of(uncached[j].second);
-        auto it = shard.keys.find(key);
-        if (it == shard.keys.end()) {
-          it = shard.keys
-                   .emplace(key, std::make_unique<KeyState>(
-                                     key, !options_.lock_word_enabled))
-                   .first;
-        }
-        states[uncached[j].second] = it->second.get();
-      }
-    }
-  }
-
-  // Phase 2: per key — uninflated keys resolve entirely under the MICRO
-  // bit (no key mutex, no wakeups to pend); inflated (or contended)
-  // keys fall to that key's mutex: inherit or purge, trace event,
-  // wakeup/count intents into the scratch. No notifies. A key this
-  // release quiesces deflates back to the fast regime.
+  // Phase 1: per key — resolve the KeyState (a cached handle's pointer,
+  // else the lock-free lookup) and release it. Uninflated keys resolve
+  // entirely under the MICRO bit (no key mutex, no wakeups to pend);
+  // inflated (or contended) keys fall to that key's mutex: inherit or
+  // purge, trace event, wakeup/count intents into the scratch. No
+  // notifies. A key this release quiesces deflates back to the fast
+  // regime.
   const bool fast = FastLanesEnabled();
   for (size_t i = 0; i < n; ++i) {
-    KeyState& ks = *states[i];
+    const HeldLock* held = held_of(i);
+    KeyState& ks = (held != nullptr && held->key != nullptr)
+                       ? *held->key
+                       : GetKeyState(key_of(i));
     if (fast && TryFastRelease(ks, txn, parent, scratch)) continue;
     std::lock_guard<std::mutex> lock(ks.m);
     EnsureInflatedLocked(ks);
@@ -953,7 +1008,7 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
     MaybeDeflateLocked(ks);
   }
 
-  // Phase 3: every key mutex is dropped. One striped-counter bump per
+  // Phase 2: every key mutex is dropped. One striped-counter bump per
   // stat, then the coalesced wakeups — woken waiters grab a free mutex.
   if (scratch.inherited > 0) {
     stats_->Add(kStatLocksInherited, scratch.inherited);
@@ -1016,17 +1071,9 @@ void LockManager::OnAbort(const TransactionId& txn,
 std::vector<HotKey> LockManager::CollectHotKeys(size_t k) {
   std::vector<HotKey> out;
   if (k == 0) return out;
-  // KeyStates are stable for the manager's lifetime, so collect the
-  // pointers per shard first and read each key's counters under its own
-  // mutex afterwards — no shard mutex is ever held across a key mutex.
   // The wait counters are written only under ks.m (fast-word grants
   // never wait), so no holder enumeration and no micro bit is needed.
-  std::vector<KeyState*> states;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard.m);
-    for (const auto& [key, ks] : shard.keys) states.push_back(ks.get());
-  }
-  for (KeyState* ks : states) {
+  for (KeyState* ks : AllKeyStates()) {
     std::lock_guard<std::mutex> key_lock(ks->m);
     if (ks->wait_count == 0) continue;
     out.push_back(HotKey{ks->key, ks->wait_count, ks->wait_ns});
@@ -1229,18 +1276,11 @@ void LockManager::SetBase(const std::string& key,
 
 void LockManager::SnapshotBase(
     const std::function<void(const std::string&, int64_t)>& emit) {
-  // Same two-pass shape as CollectHotKeys: KeyStates are stable for the
-  // manager's lifetime, so collect the pointers per shard first and read
-  // each base under its own key mutex afterwards — no shard mutex is
-  // ever held across a key mutex, and commits proceed between keys
-  // (this is the checkpoint's FUZZY scan; WriteAheadLog::Checkpoint
-  // repairs whatever it races past from the log).
-  std::vector<KeyState*> states;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard.m);
-    for (const auto& [key, ks] : shard.keys) states.push_back(ks.get());
-  }
-  for (KeyState* ks : states) {
+  // Each base is read under its own key mutex, so commits proceed
+  // between keys (this is the checkpoint's FUZZY scan;
+  // WriteAheadLog::Checkpoint repairs whatever it races past from the
+  // log).
+  for (KeyState* ks : AllKeyStates()) {
     std::lock_guard<std::mutex> lock(ks->m);
     // On an uninflated key ks.m alone does NOT exclude fast-word
     // writers; the micro bit is held for the read (without escalating).

@@ -39,7 +39,7 @@
 //
 // Hot-path fast lane: a successful acquire can hand back a HeldLock
 // handle {key state, word snapshot, held modes}. Re-acquiring under a
-// still-sufficient held lock (Reacquire*) skips the shard hash, the
+// still-sufficient held lock (Reacquire*) skips the key lookup, the
 // wait/conflict scan and the holder-set insert. Safety: the seq field is
 // bumped on every holder-set *insertion* (and, in the fast regime, on
 // every structural change); if the seq is unchanged since the handle's
@@ -60,15 +60,39 @@
 // reached P, every transaction on that path has committed — which erased
 // it from the holder sets. So the no-conflict condition holds for P too.
 //
+// Key lookup (disjoint-access parallelism, DESIGN.md §5): the lock table
+// is a fixed set of shards, each an insert-only open-addressing array of
+// std::atomic<KeyState*>, probed linearly from the key's full hash. The
+// KeyState keeps that hash and the only copy of the key string. A hit is
+// one acquire load of the shard's table pointer plus acquire loads while
+// probing — no mutex, no store, no RMW — so transactions on disjoint keys
+// share only lines that nobody writes. A miss takes the shard mutex,
+// probes the current table again, constructs the KeyState and publishes
+// it with a release store into its slot. Growth copies every entry into a
+// doubled table and publishes that with a release store of the shard's
+// table pointer. Why a reader needs no mutex:
+//   - A slot changes exactly once, from null to a KeyState, and only
+//     after that KeyState is fully built. The release store that
+//     publishes it (into the slot, or of a grown table holding it) pairs
+//     with the reader's acquire load, so a reader that sees a pointer
+//     sees a complete KeyState.
+//   - Entries are never removed, and every outgrown table is kept until
+//     the manager is destroyed, so a reader still probing one reads live
+//     memory. An outgrown table is a subset of the current one: a hit
+//     there is the same KeyState, and a miss falls through to the locked
+//     path, which re-probes the current table before inserting. No key
+//     ever gets two KeyStates.
+//   - No table is ever more than half full, so every probe reaches an
+//     empty slot and stops.
+//
 // Batched release path: OnCommit/OnAbort take a transaction's whole key
-// inventory and run in three phases — (1) resolve every KeyState
-// pointer, taking cached handles directly and resolving the remaining
-// keys shard-by-shard under one shard-mutex hold each; (2) per key,
-// uninflated keys are released entirely under the MICRO bit (no waiters
-// can exist on an uninflated key, so there is nothing to wake and no
-// mutex to take); inflated keys apply the INFORM_COMMIT_AT /
+// inventory and run in two phases — (1) per key, resolve the KeyState (a
+// cached handle's pointer directly, else the lock-free lookup above) and
+// release it: uninflated keys are released entirely under the MICRO bit
+// (no waiters can exist on an uninflated key, so there is nothing to
+// wake and no mutex to take); inflated keys apply the INFORM_COMMIT_AT /
 // INFORM_ABORT_AT state change (inherit or purge) under that key's
-// mutex and record which keys' holder sets changed; (3) with no key
+// mutex and record which keys' holder sets changed; (2) with no key
 // mutex held, bump the batch's counters once and call cv.notify_all
 // once per changed key (duplicate notify requests — e.g. a dual-mode
 // read+write holder — are coalesced first). Wakeups are requested only
@@ -82,13 +106,13 @@
 // per-object event order must be the order the lock manager enforced.
 // With a recorder attached the fast lanes are disabled outright (keys
 // inflate on first use), so every traced grant and release runs under
-// its key's mutex. Phase 2 still emits each key's INFORM_*_AT event
+// its key's mutex. Phase 1 still emits each key's INFORM_*_AT event
 // under that key's mutex, at the instant the holder sets change —
 // exactly where the per-key loop emitted it — so for any single object
 // the inform event is sequenced before any grant that observes the
 // released lock (a later grant must reacquire the same mutex, and
 // events are stamped with monotone global sequence numbers). Deferring
-// the *wakeups* to phase 3 moves no events: a woken waiter emits its
+// the *wakeups* to phase 2 moves no events: a woken waiter emits its
 // grant events only after re-taking the key mutex and re-checking
 // conflicts, so the per-object order is unchanged; the deferral only
 // shortens the notifier's critical section (the woken thread no longer
@@ -106,7 +130,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cc_policy.h"
@@ -254,7 +277,7 @@ class LockManager {
 
   /// A key a transaction touched, with its cached fast-path handle (the
   /// handle may be stale or empty; only its KeyState pointer is relied
-  /// upon, to skip the shard lookup on commit/abort).
+  /// upon, to skip the key lookup on commit/abort).
   struct KeyHold {
     std::string key;
     HeldLock held;
@@ -263,7 +286,7 @@ class LockManager {
   /// Commit `txn`'s entries on `keys`: locks and version pass to `parent`.
   /// A top-level commit (parent == T0) releases the locks and installs the
   /// version as the committed base. Batched: see the header comment
-  /// (shard-grouped resolution, deferred coalesced wakeups). The string
+  /// (per-key release, deferred coalesced wakeups). The string
   /// overload is a thin adapter onto the same implementation with no
   /// cached handles.
   void OnCommit(const TransactionId& txn, const TransactionId& parent,
@@ -436,6 +459,8 @@ class LockManager {
   WriteAheadLog* wal() { return wal_; }
 
  private:
+  // The key's lock-table entry, created on first touch. A hit takes no
+  // mutex and makes no store (see "Key lookup" in the header comment).
   KeyState& GetKeyState(const std::string& key);
 
   // Cold tail of ReacquireRead (everything past the inline seqlock lane):
@@ -474,7 +499,7 @@ class LockManager {
                       HeldLock* held,
                       Result<std::optional<int64_t>>* result);
 
-  // Micro-bit release of an uninflated key for ReleaseBatch phase 2
+  // Micro-bit release of an uninflated key for ReleaseBatch phase 1
   // (commit when parent != nullptr, abort otherwise). No wakeups and no
   // trace events are ever owed here: waiters imply inflation, tracing
   // disables the fast lanes.
@@ -487,7 +512,7 @@ class LockManager {
   // names the i-th key and `held_of(i)` returns its cached handle (or
   // nullptr). Templated over the accessors so the string overloads adapt
   // without materializing KeyHold copies. See the header comment for the
-  // three phases.
+  // two phases.
   template <typename KeyOf, typename HeldOf>
   void ReleaseBatch(const TransactionId& txn, const TransactionId* parent,
                     size_t n, const KeyOf& key_of, const HeldOf& held_of);
@@ -552,11 +577,18 @@ class LockManager {
   EngineTraceRecorder* recorder_ = nullptr;
   WriteAheadLog* wal_ = nullptr;
 
-  struct Shard {
-    std::mutex m;
-    std::unordered_map<std::string, std::unique_ptr<KeyState>> keys;
-  };
-  std::vector<Shard> shards_;
+  // The lock table: a fixed array of shards, each an insert-only
+  // open-addressing table (see "Key lookup" in the header comment).
+  // Defined in the .cc with the shard count.
+  struct Shard;
+  std::unique_ptr<Shard[]> shards_;
+
+  // The locked half of GetKeyState: re-probe under the shard mutex and,
+  // on a second miss, construct and publish the key's KeyState.
+  KeyState& InsertKeyState(Shard& shard, size_t hash, const std::string& key);
+  // Every KeyState, collected shard by shard under each shard's mutex
+  // (export-time scans: CollectHotKeys, SnapshotBase).
+  std::vector<KeyState*> AllKeyStates();
 
   // Orphan-cancellation state: the doomed subtree roots and the parked
   // waiters a doom must wake, both under one mutex (the atomicity is the

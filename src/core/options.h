@@ -95,8 +95,6 @@ struct EngineOptions {
   /// Upper bound on any single lock wait: the safety net under every
   /// protocol (a wait that outlives it fails with Status::TimedOut).
   std::chrono::milliseconds lock_timeout{2000};
-  /// Number of lock-table shards (power of two; 0 is treated as 1).
-  size_t lock_table_shards = 64;
   /// Admission control on gated top-level execution (Database::
   /// RunTransaction and RetryExecutor::Run — raw Begin() is never gated):
   /// at most this many top-level transactions are admitted concurrently;

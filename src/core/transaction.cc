@@ -1186,6 +1186,7 @@ void TransactionManager::ReleaseTopLevel() {
 void TransactionManager::MarkFailed(Status why) {
   std::lock_guard<std::mutex> lk(failed_mutex_);
   if (failed_status_.ok()) failed_status_ = std::move(why);
+  failed_.store(true, std::memory_order_release);
 }
 
 Status TransactionManager::failure() const {
@@ -1194,12 +1195,10 @@ Status TransactionManager::failure() const {
 }
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
-  {
-    // A failed engine (e.g. a recovery that died mid-replay) must not
-    // hand out handles over half-applied state.
-    std::lock_guard<std::mutex> lk(failed_mutex_);
-    if (!failed_status_.ok()) return nullptr;
-  }
+  // A failed engine (e.g. a recovery that died mid-replay) must not hand
+  // out handles over half-applied state. A load, not the mutex: Begin
+  // writes no line that other threads' accesses read.
+  if (failed_.load(std::memory_order_acquire)) return nullptr;
   if (options_.cc_mode == CcMode::kSerial) AcquireSerialGate();
   TransactionId id = TransactionId::Root().Child(
       top_counter_.fetch_add(1, std::memory_order_relaxed));

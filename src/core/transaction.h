@@ -337,11 +337,12 @@ class TransactionManager {
   /// has returned and the destructor's FlushAll makes the tail durable).
   std::unique_ptr<WriteAheadLog> wal_;
 
-  std::atomic<uint32_t> top_counter_{0};
-
   // Engine failure state (MarkFailed / failure / Begin's refusal).
+  // MarkFailed sets failed_ after storing the status, so the healthy
+  // Begin path is one load; failure() reads the status under the mutex.
   mutable std::mutex failed_mutex_;
   Status failed_status_ = Status::OK();
+  std::atomic<bool> failed_{false};
 
   std::mutex gate_mutex_;
   std::condition_variable gate_cv_;
@@ -352,6 +353,13 @@ class TransactionManager {
   std::condition_variable admit_cv_;
   uint32_t admitted_ = 0;
   uint32_t admit_queued_ = 0;
+
+  // Begin ordinals: one fetch_add per top-level Begin. Alone on its cache
+  // line (last member, so the class's padding fills the rest of the line),
+  // so that RMW never invalidates the fields every access reads, such as
+  // LockManager::doomed_count_ and wal_. One counter for the engine, not
+  // per-thread blocks: the WAL shard is the ordinal mod wal_shards.
+  alignas(64) std::atomic<uint32_t> top_counter_{0};
 };
 
 }  // namespace nestedtx

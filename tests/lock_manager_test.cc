@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <numeric>
+#include <random>
 #include <thread>
 
 #include "core/failpoints.h"
 #include "core/lock_manager.h"
+#include "util/strings.h"
 
 namespace nestedtx {
 namespace {
@@ -120,17 +125,6 @@ TEST_F(LockManagerTest, TopLevelCommitInstallsBase) {
   EXPECT_EQ(**r, 4);
 }
 
-// A directly constructed manager clamps lock_table_shards = 0 to one
-// shard, on the grant path and on the string-keyed release path alike.
-TEST_F(LockManagerTest, ZeroShardsClampToOne) {
-  EngineOptions o = MakeOptions();
-  o.lock_table_shards = 0;
-  LockManager lm(o, &stats_);
-  ASSERT_TRUE(lm.AcquireWrite(T({0}), "k", Set(3)).ok());
-  lm.OnCommit(T({0}), TransactionId::Root(), {"k"});
-  EXPECT_EQ(lm.ReadBase("k").value(), 3);
-}
-
 TEST_F(LockManagerTest, AbortRestoresPriorState) {
   lm_.SetBase("k", 10);
   ASSERT_TRUE(lm_.AcquireWrite(T({0}), "k", Set(99)).ok());
@@ -228,6 +222,48 @@ TEST_F(LockManagerTest, ConflictsReportDualModeHolderOnce) {
   c = lm_.ConflictsForTest("k", T({1}), false);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_EQ(c[0], T({0}));
+}
+
+// The key lookup is lock-free for hits and inserts under a shard mutex,
+// publishing new KeyStates and grown tables while other threads probe.
+// Four threads first-touch the same fresh keys, each in its own order,
+// so every shard's table grows several times under concurrent probes.
+// A key that got two KeyStates would let two writers hold it at once,
+// and one of their increments would be lost.
+TEST_F(LockManagerTest, ConcurrentFirstTouchAcrossTableGrowth) {
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kKeys = 64 * 256;  // per-shard tables grow 16 -> 512
+  EngineOptions o = MakeOptions();
+  o.lock_timeout = std::chrono::seconds(30);  // contention waits, never fails
+  LockManager lm(o, &stats_);
+  std::vector<std::string> keys;
+  for (uint32_t i = 0; i < kKeys; ++i) keys.push_back(StrCat("g", i));
+
+  std::atomic<uint32_t> ready{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint32_t> order(kKeys);
+      std::iota(order.begin(), order.end(), 0);
+      std::shuffle(order.begin(), order.end(), std::mt19937(t + 1));
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (uint32_t n = 0; n < kKeys; ++n) {
+        const TransactionId txn = T({t * kKeys + n});
+        const std::string& key = keys[order[n]];
+        ASSERT_TRUE(lm.AcquireWrite(txn, key, AddM(1)).ok());
+        lm.OnCommit(txn, TransactionId::Root(), {key});
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (const std::string& key : keys) {
+    ASSERT_EQ(lm.ReadBase(key), std::optional<int64_t>(kThreads)) << key;
+    const LockManager::KeySnapshotForTest snap = lm.SnapshotKeyForTest(key);
+    EXPECT_TRUE(snap.read_holders.empty()) << key;
+    EXPECT_TRUE(snap.write_holders.empty()) << key;
+  }
 }
 
 // Regression for the stale-edge bug: WaitForGrant registered an edge on

@@ -194,24 +194,6 @@ TEST(TransactionTest, IdsAreHierarchical) {
   (void)(*c2)->Commit();
 }
 
-// lock_table_shards = 0 is clamped to one shard (key lookup and the
-// batched release both pick a shard by hash modulo the shard count).
-TEST(TransactionTest, ZeroLockTableShardsRunsOnOneShard) {
-  EngineOptions o = FastTimeout();
-  o.lock_table_shards = 0;
-  Database db(o);
-  db.Preload("k", 1);
-  auto t = db.Begin();
-  ASSERT_TRUE(t->Add("k", 1).ok());
-  auto c = t->BeginChild();
-  ASSERT_TRUE(c.ok());
-  ASSERT_TRUE((*c)->Put("j", 7).ok());
-  ASSERT_TRUE((*c)->Commit().ok());
-  ASSERT_TRUE(t->Commit().ok());
-  EXPECT_EQ(db.ReadCommitted("k").value(), 2);
-  EXPECT_EQ(db.ReadCommitted("j").value(), 7);
-}
-
 TEST(TransactionTest, RunTransactionCommitsOnOk) {
   Database db(FastTimeout());
   Status s = db.RunTransaction(3, [](Transaction& t) {

@@ -97,7 +97,18 @@ namespace nestedtx {
   /* log bytes dropped by checkpoint truncation/rotation */               \
   X(kStatWalCheckpointTruncated, wal_checkpoint_truncated)                \
   /* keys loaded from a snapshot by Database::Recover */                  \
-  X(kStatWalSnapshotKeysLoaded, wal_snapshot_keys_loaded)
+  X(kStatWalSnapshotKeysLoaded, wal_snapshot_keys_loaded)                 \
+  /* log records a checkpoint fix-up replayed onto its fuzzy scan */      \
+  X(kStatWalCheckpointFixupRecords, wal_checkpoint_fixup_records)         \
+  /* WaitDurable's cross-shard cut: one outcome per other shard per ack. \
+     cleared by a single load of the shard's pending floor */            \
+  X(kStatWalCutLoadClears, wal_cut_load_clears)                           \
+  /* cleared after a bounded spin on that floor */                        \
+  X(kStatWalCutSpinClears, wal_cut_spin_clears)                           \
+  /* sent to the locked fallback (ride or run that shard's flush) */      \
+  X(kStatWalCutLockedChecks, wal_cut_locked_checks)                       \
+  /* own-shard riders that parked on the shard cv after spinning */       \
+  X(kStatWalRiderParks, wal_rider_parks)
 
 /// Counter identifiers (indices into a stripe).
 enum StatCounter : int {

@@ -39,6 +39,38 @@ constexpr size_t kWriteChunk = 4096;
 // Sanity bound on a decoded record length: recovery treats anything
 // larger as a torn/corrupt tail rather than attempting the allocation.
 constexpr uint32_t kMaxRecordLen = 64u << 20;
+// Read window of the checkpoint's log walk and rotation copy: the
+// checkpoint never holds more of a shard file than this in memory.
+constexpr size_t kWalkChunk = size_t{1} << 20;
+// How long an ack spins on another thread's flush before it parks:
+// riding the group its own shard is writing, and waiting on another
+// shard whose floor is still at or below its seq (that shard's own
+// committer is usually mid-flush). A flush in `none` mode is one
+// write() of about a microsecond, while a condition-variable round
+// trip costs tens of microseconds on a virtualized host. Waiters skip
+// the spin when the flush-latency EWMA exceeds the bound (the fsync
+// modes), so they do not burn a core on a millisecond sync.
+constexpr uint64_t kRideSpinNs = 50'000;
+constexpr uint64_t kCutSpinNs = 5'000;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+// Spin until done() holds (true) or the monotonic clock reaches
+// `deadline_ns` (false).
+template <typename Done>
+bool SpinUntil(uint64_t deadline_ns, const Done& done) {
+  for (;;) {
+    if (done()) return true;
+    if (MonotonicNowNs() >= deadline_ns) return false;
+    CpuRelax();
+  }
+}
 
 // Software CRC32 (reflected 0xEDB88320), table-driven. Plenty for the
 // framing check; records are small and flushes already pay a syscall.
@@ -101,6 +133,50 @@ struct RecoveredRecord {
   std::vector<WalWrite> writes;
 };
 
+// Payload length of the record frame at `frame`, given that `avail`
+// bytes are readable from there; 0 on a framing violation (a header
+// that does not fit, an impossible length, a frame running past
+// `avail`, or a CRC mismatch).
+uint32_t FrameLen(const char* frame, size_t avail) {
+  if (avail < 8) return 0;
+  const uint32_t len = DecodeU32(frame);
+  if (len < 12 || len > kMaxRecordLen || size_t{8} + len > avail) return 0;
+  if (Crc32(frame + 8, len) != DecodeU32(frame + 4)) return 0;
+  return len;
+}
+
+// Decode a CRC-valid payload (u64 seq, u32 nwrites, writes) into `rec`.
+// False when the frame is nonsense that slipped past the CRC.
+bool DecodeRecord(const char* payload, uint32_t len, RecoveredRecord* rec) {
+  rec->seq = DecodeU64(payload);
+  const uint32_t nwrites = DecodeU32(payload + 8);
+  // A write is at least 5 bytes (u32 klen + u8 has_value), so a count
+  // the frame cannot hold is corruption that slipped past the
+  // (non-cryptographic) CRC — treat it as a torn tail rather than
+  // attempting a multi-GB reserve.
+  if (nwrites > (len - 12) / 5) return false;
+  size_t p = 12;
+  rec->writes.reserve(nwrites);
+  for (uint32_t i = 0; i < nwrites; ++i) {
+    if (p + 4 > len) return false;
+    const uint32_t klen = DecodeU32(payload + p);
+    p += 4;
+    if (p + klen + 1 > len) return false;
+    WalWrite w;
+    w.key.assign(payload + p, klen);
+    p += klen;
+    const uint8_t has = static_cast<uint8_t>(payload[p]);
+    p += 1;
+    if (has != 0) {
+      if (p + 8 > len) return false;
+      w.value = static_cast<int64_t>(DecodeU64(payload + p));
+      p += 8;
+    }
+    rec->writes.push_back(std::move(w));
+  }
+  return p == len;
+}
+
 // Scan one shard file image, appending every well-framed record to
 // `out` (in file order, which is seq-ascending — a violation of that
 // invariant is treated as corruption). Returns the offset of the first
@@ -112,65 +188,151 @@ size_t ScanShardImage(const std::string& data, uint32_t shard_index,
       std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
     return 0;
   }
-  size_t valid = kMagicLen;
   size_t pos = kMagicLen;
   uint64_t prev_seq = 0;
-  while (pos + 8 <= data.size()) {
-    const uint32_t len = DecodeU32(data.data() + pos);
-    const uint32_t crc = DecodeU32(data.data() + pos + 4);
-    if (len < 12 || len > kMaxRecordLen || pos + 8 + len > data.size()) {
-      break;
-    }
-    const char* payload = data.data() + pos + 8;
-    if (Crc32(payload, len) != crc) break;
-    // Decode: u64 seq, u32 nwrites, writes.
+  for (;;) {
+    const uint32_t len = FrameLen(data.data() + pos, data.size() - pos);
+    if (len == 0) break;
     RecoveredRecord rec;
-    rec.seq = DecodeU64(payload);
     rec.shard = shard_index;
     rec.frame_start = pos;
-    if (rec.seq <= prev_seq) break;  // file must be seq-ascending
-    const uint32_t nwrites = DecodeU32(payload + 8);
-    // A write is at least 5 bytes (u32 klen + u8 has_value), so a
-    // count the frame cannot hold is corruption that slipped past
-    // the (non-cryptographic) CRC — treat it as a torn tail rather
-    // than attempting a multi-GB reserve.
-    if (nwrites > (len - 12) / 5) break;
-    size_t p = 12;
-    bool ok = true;
-    rec.writes.reserve(nwrites);
-    for (uint32_t i = 0; i < nwrites && ok; ++i) {
-      if (p + 4 > len) {
-        ok = false;
-        break;
-      }
-      const uint32_t klen = DecodeU32(payload + p);
-      p += 4;
-      if (p + klen + 1 > len) {
-        ok = false;
-        break;
-      }
-      WalWrite w;
-      w.key.assign(payload + p, klen);
-      p += klen;
-      const uint8_t has = static_cast<uint8_t>(payload[p]);
-      p += 1;
-      if (has != 0) {
-        if (p + 8 > len) {
-          ok = false;
-          break;
-        }
-        w.value = static_cast<int64_t>(DecodeU64(payload + p));
-        p += 8;
-      }
-      rec.writes.push_back(std::move(w));
+    if (!DecodeRecord(data.data() + pos + 8, len, &rec) ||
+        rec.seq <= prev_seq) {  // file must be seq-ascending
+      break;
     }
-    if (!ok || p != len) break;  // CRC passed but frame is nonsense
     prev_seq = rec.seq;
     out->push_back(std::move(rec));
     pos += 8 + len;
-    valid = pos;
   }
-  return valid;
+  return pos;
+}
+
+// pread exactly `n` bytes at `off` into `buf`, short only at EOF
+// (EINTR-safe). Returns the byte count read.
+Result<size_t> PreadFull(int fd, const std::string& path, char* buf,
+                         size_t n, size_t off) {
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, buf + got, n - got,
+                              static_cast<off_t>(off + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return Errno("pread", path);
+    }
+    if (r == 0) break;
+    got += static_cast<size_t>(r);
+  }
+  return got;
+}
+
+Status WriteAll(int fd, const std::string& path, const char* data,
+                size_t n) {
+  size_t off = 0;
+  while (off < n) {
+    const ssize_t w = ::write(fd, data + off, n - off);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Errno("write", path);
+    }
+    off += static_cast<size_t>(w);
+  }
+  return Status::OK();
+}
+
+// Append bytes [begin, end) of file `from` to file `to` through a
+// kWalkChunk buffer (the rotation's copy into its tmp file).
+Status CopyRange(int from, const std::string& from_path, size_t begin,
+                 size_t end, int to, const std::string& to_path) {
+  std::string buf;
+  while (begin < end) {
+    buf.resize(std::min(kWalkChunk, end - begin));
+    Result<size_t> got =
+        PreadFull(from, from_path, buf.data(), buf.size(), begin);
+    if (!got.ok()) return got.status();
+    if (*got != buf.size()) {
+      return Status::IoError("short read while rotating " + from_path);
+    }
+    RETURN_IF_ERROR(WriteAll(to, to_path, buf.data(), buf.size()));
+    begin += buf.size();
+  }
+  return Status::OK();
+}
+
+// A bounded read window over the first `end` bytes of a shard file: the
+// checkpoint walks a log through it without materializing the file.
+class FileWindow {
+ public:
+  FileWindow(int fd, const std::string& path, size_t end)
+      : fd_(fd), path_(path), end_(end) {}
+
+  // Bytes [off, off + n) of the file, or nullptr when they run past
+  // `end` (or past the file).
+  Result<const char*> At(size_t off, size_t n) {
+    if (off + n > end_) return static_cast<const char*>(nullptr);
+    if (off < base_ || off + n > base_ + buf_.size()) {
+      buf_.resize(std::min(std::max(n, kWalkChunk), end_ - off));
+      Result<size_t> got =
+          PreadFull(fd_, path_, buf_.data(), buf_.size(), off);
+      if (!got.ok()) return got.status();
+      buf_.resize(*got);
+      base_ = off;
+      if (*got < n) return static_cast<const char*>(nullptr);
+    }
+    return buf_.data() + (off - base_);
+  }
+
+ private:
+  int fd_;
+  const std::string& path_;
+  size_t end_;
+  size_t base_ = 0;
+  std::string buf_;
+};
+
+// The checkpoint's walk over the first `size` bytes of one shard file
+// (stable: see Checkpoint step 5). CRC-checks every frame up to the
+// first record above `cut`, decodes only the records in
+// (replay_floor, cut] into `out`, and returns where rotation keeps
+// from: the frame of the first record above `trunc_floor` (<= cut),
+// else the end of the well-framed region (0 when the magic is missing,
+// which leaves the file whole).
+Result<size_t> WalkShardFile(int fd, const std::string& path, size_t size,
+                             uint64_t replay_floor, uint64_t cut,
+                             uint64_t trunc_floor,
+                             std::vector<RecoveredRecord>* out) {
+  FileWindow file(fd, path, size);
+  Result<const char*> magic = file.At(0, kMagicLen);
+  if (!magic.ok()) return magic.status();
+  if (*magic == nullptr || std::memcmp(*magic, kMagic, kMagicLen) != 0) {
+    return size_t{0};
+  }
+  size_t pos = kMagicLen;
+  size_t keep_from = 0;
+  uint64_t prev_seq = 0;
+  for (;;) {
+    Result<const char*> hdr = file.At(pos, 8);
+    if (!hdr.ok()) return hdr.status();
+    if (*hdr == nullptr) break;
+    const uint32_t claimed = DecodeU32(*hdr);
+    if (claimed > kMaxRecordLen) break;
+    Result<const char*> frame = file.At(pos, size_t{8} + claimed);
+    if (!frame.ok()) return frame.status();
+    if (*frame == nullptr) break;
+    const uint32_t len = FrameLen(*frame, size_t{8} + claimed);
+    if (len == 0) break;
+    const uint64_t seq = DecodeU64(*frame + 8);
+    if (seq <= prev_seq) break;  // file must be seq-ascending
+    prev_seq = seq;
+    if (keep_from == 0 && seq > trunc_floor) keep_from = pos;
+    if (seq > cut) break;
+    if (seq > replay_floor) {
+      RecoveredRecord rec;
+      if (!DecodeRecord(*frame + 8, len, &rec)) break;
+      out->push_back(std::move(rec));
+    }
+    pos += 8 + len;
+  }
+  return keep_from != 0 ? keep_from : pos;
 }
 
 // pread the whole of `fd` into `*data` (EINTR-safe; a file that shrinks
@@ -179,18 +341,9 @@ Status ReadWholeFile(int fd, const std::string& path, std::string* data) {
   const off_t fsize = ::lseek(fd, 0, SEEK_END);
   if (fsize < 0) return Errno("lseek", path);
   data->assign(static_cast<size_t>(fsize), '\0');
-  size_t got = 0;
-  while (got < data->size()) {
-    const ssize_t r =
-        ::pread(fd, data->data() + got, data->size() - got, got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Errno("pread", path);
-    }
-    if (r == 0) break;
-    got += static_cast<size_t>(r);
-  }
-  data->resize(got);
+  Result<size_t> got = PreadFull(fd, path, data->data(), data->size(), 0);
+  if (!got.ok()) return got.status();
+  data->resize(*got);
   return Status::OK();
 }
 
@@ -289,11 +442,20 @@ Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
   {
     std::lock_guard<std::mutex> lock(sh.mu);
     if (sh.broken) return sh.broken_status;
+    // An idle shard announces a lower bound for the seq it is about to
+    // take BEFORE taking it, so no waiter above that seq can read the
+    // shard as clear while this record is still being buffered (the
+    // cross-shard cut argument in wal.h).
+    const bool idle = sh.pending_floor.load(std::memory_order_relaxed) == 0;
+    if (idle) {
+      sh.pending_floor.store(next_seq_.load(std::memory_order_relaxed) + 1,
+                             std::memory_order_seq_cst);
+    }
     // Seq assigned under the shard mutex: the shard file stays
     // internally seq-ascending, so tail truncation removes a seq-suffix
     // of the shard, never a hole.
     const uint64_t seq =
-        next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+        next_seq_.fetch_add(1, std::memory_order_seq_cst) + 1;
     appended_.store(true, std::memory_order_relaxed);
     const size_t before = sh.buffer.size();
     EncodeU32(&sh.buffer, static_cast<uint32_t>(body.size() + 8));
@@ -306,6 +468,7 @@ Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
     sh.buffer.append(payload);
     sh.buffered_seq = seq;
     if (sh.buffer_min_seq == 0) sh.buffer_min_seq = seq;
+    if (idle) sh.pending_floor.store(seq, std::memory_order_release);
     if (release_follows) sh.unreleased.push_back(seq);
     ticket.shard = static_cast<uint32_t>(shard_hint % shards_.size());
     ticket.seq = seq;
@@ -342,15 +505,17 @@ void WriteAheadLog::NoteCommitReleased(const WalTicket& ticket) {
   // note can only cut a group early, never lose a record).
   uint64_t cur = release_pending_.load(std::memory_order_relaxed);
   while (cur != 0 && !release_pending_.compare_exchange_weak(
-                         cur, cur - 1, std::memory_order_acq_rel)) {
+                         cur, cur - 1, std::memory_order_seq_cst)) {
   }
-  if (cur <= 1) {
-    // Possibly the last straggler a flush leader is holding a group
-    // open for: kick every shard's cv so leaders re-check. The empty
-    // lock section pins the notify against the leader's predicate
-    // check — without it, a leader between evaluating release_pending_
-    // and parking in wait_for would miss the kick and sleep the whole
-    // group-commit window.
+  // Possibly the last straggler a flush leader is holding a group open
+  // for: kick every shard's cv so leaders re-check — but only while a
+  // leader is holding one. The seq_cst decrement above and this seq_cst
+  // load cannot both miss a leader's seq_cst count and re-check (see
+  // "Group commit" in wal.h). The empty lock section pins the notify
+  // against the leader's predicate check — without it, a leader between
+  // evaluating release_pending_ and parking in wait_for would miss the
+  // kick and sleep the whole group-commit window.
+  if (cur <= 1 && holding_leaders_.load(std::memory_order_seq_cst) != 0) {
     for (auto& sh : shards_) {
       { std::lock_guard<std::mutex> sync(sh->mu); }
       sh->cv.notify_all();
@@ -370,9 +535,7 @@ Status WriteAheadLog::WriteAndSync(Shard& sh, const std::string& group) {
                : Status::IoError("failpoint-injected flush failure");
   }
   FailPoints::MaybeDelay(FailPoints::kWalFsync);
-  const bool timing = metrics_ != nullptr ||
-                      options_.wal_adaptive_group_commit;
-  const uint64_t start_ns = timing ? MonotonicNowNs() : 0;
+  const uint64_t start_ns = MonotonicNowNs();
   size_t limit = group.size();
   bool torn = false;
   if (FailPoints::MaybeShortWrite(FailPoints::kWalFsync)) {
@@ -408,18 +571,14 @@ Status WriteAheadLog::WriteAndSync(Shard& sh, const std::string& group) {
       if (stats_ != nullptr) stats_->Add(kStatWalFsyncs);
       break;
   }
-  if (timing) {
-    const uint64_t elapsed = MonotonicNowNs() - start_ns;
-    if (metrics_ != nullptr) {
-      metrics_->Record(kHistWalFsyncNs, elapsed);
-    }
-    // EWMA (alpha = 1/8) of flush latency, feeding the adaptive hold
-    // time. Racy read-modify-write across concurrent leaders is fine:
-    // the estimate is advisory and the window stays clamped.
-    const uint64_t cur = fsync_ewma_ns_.load(std::memory_order_relaxed);
-    fsync_ewma_ns_.store(cur == 0 ? elapsed : cur - cur / 8 + elapsed / 8,
-                         std::memory_order_relaxed);
-  }
+  const uint64_t elapsed = MonotonicNowNs() - start_ns;
+  if (metrics_ != nullptr) metrics_->Record(kHistWalFsyncNs, elapsed);
+  // EWMA (alpha = 1/8) of flush latency, feeding the adaptive hold time
+  // and the waiters' spin-or-park choice. Racy read-modify-write across
+  // concurrent leaders is fine: the estimate is advisory.
+  const uint64_t cur = fsync_ewma_ns_.load(std::memory_order_relaxed);
+  fsync_ewma_ns_.store(cur == 0 ? elapsed : cur - cur / 8 + elapsed / 8,
+                       std::memory_order_relaxed);
   if (stats_ != nullptr) stats_->Add(kStatGroupCommitBatches);
   return Status::OK();
 }
@@ -441,6 +600,20 @@ uint64_t WriteAheadLog::GroupHoldUs() const {
   return hold;
 }
 
+bool WriteAheadLog::FlushFitsSpin(uint64_t spin_ns) const {
+  return fsync_ewma_ns_.load(std::memory_order_relaxed) <= spin_ns;
+}
+
+void WriteAheadLog::BreakLocked(Shard& sh, uint64_t lost_floor,
+                                Status why) {
+  sh.broken = true;
+  sh.broken_status = std::move(why);
+  // Never cleared: waiters at or above the floor keep failing the
+  // one-load check and reach the locked path, which reports the loss.
+  sh.pending_floor.store(lost_floor != 0 ? lost_floor : 1,
+                         std::memory_order_release);
+}
+
 Status WriteAheadLog::FlushLocked(Shard& sh,
                                   std::unique_lock<std::mutex>& lk) {
   std::string group;
@@ -449,16 +622,21 @@ Status WriteAheadLog::FlushLocked(Shard& sh,
   const uint64_t lo = sh.buffer_min_seq;
   sh.buffer_min_seq = 0;
   if (group.empty()) {
-    sh.flushed_seq = std::max(sh.flushed_seq, hi);
+    sh.flushed_seq.store(
+        std::max(sh.flushed_seq.load(std::memory_order_relaxed), hi),
+        std::memory_order_release);
     return Status::OK();
   }
-  sh.inflight_min_seq = lo;
+  // pending_floor stays `lo`, the group's floor, while it is in flight.
   lk.unlock();
   const Status s = WriteAndSync(sh, group);
   lk.lock();
-  sh.inflight_min_seq = 0;
   if (s.ok()) {
-    sh.flushed_seq = std::max(sh.flushed_seq, hi);
+    sh.flushed_seq.store(
+        std::max(sh.flushed_seq.load(std::memory_order_relaxed), hi),
+        std::memory_order_release);
+    // Only what was buffered behind the group is pending now.
+    sh.pending_floor.store(sh.buffer_min_seq, std::memory_order_release);
     // Automatic-checkpoint kick, from the flush leader as the bytes
     // odometer crosses the threshold. The trigger only nudges the
     // engine's background checkpoint thread — never blocks — and
@@ -471,12 +649,10 @@ Status WriteAheadLog::FlushLocked(Shard& sh,
       checkpoint_trigger_();
     }
   } else {
-    sh.broken = true;
-    sh.broken_status = s;
     // Everything in the failed group — and anything buffered behind it
     // while the IO ran — is lost; `lo` is the smallest such seq. No
     // commit at or above it can ever be acknowledged durable again.
-    sh.lost_floor = lo;
+    BreakLocked(sh, lo, s);
   }
   return s;
 }
@@ -485,23 +661,17 @@ Status WriteAheadLog::EnsureShardDurableThrough(Shard& sh,
                                                 uint64_t bound) {
   std::unique_lock<std::mutex> lk(sh.mu);
   for (;;) {
-    if (sh.broken) {
-      // Records <= bound either flushed before the break (fine) or sit
-      // at/above the lost floor (gone forever — the cut is unreachable).
-      // A zero floor means the shard broke before recording any loss
-      // bound; nothing proves the records below `bound` survived, so
-      // poison every ack rather than let one leak through.
-      if (sh.lost_floor == 0 || sh.lost_floor <= bound) {
-        return Status::DurabilityLost(sh.broken_status.message());
-      }
-      return Status::OK();
-    }
-    // Lowest seq not yet durable here: the in-flight group's floor, else
-    // the buffer's. Per-shard seqs ascend, so in-flight < buffered.
-    const uint64_t floor = sh.inflight_min_seq != 0 ? sh.inflight_min_seq
-                                                    : sh.buffer_min_seq;
+    // Lowest seq not yet durable here; on a broken shard, its lost
+    // floor (1 when the loss bound is unknown).
+    const uint64_t floor = sh.pending_floor.load(std::memory_order_relaxed);
     if (floor == 0 || floor > bound) return Status::OK();
-    if (sh.flushing) {
+    if (sh.broken) {
+      // Records <= bound sit at/above the lost floor: gone forever, so
+      // the cut is unreachable. An unknown floor poisons every ack
+      // rather than let one leak through.
+      return Status::DurabilityLost(sh.broken_status.message());
+    }
+    if (sh.flushing.load(std::memory_order_relaxed)) {
       sh.cv.wait(lk);
       continue;
     }
@@ -509,9 +679,9 @@ Status WriteAheadLog::EnsureShardDurableThrough(Shard& sh,
     // it ourselves, immediately — everything we need is already
     // buffered (seq assignment is atomic with buffering, and any append
     // after ours gets a larger seq), so there is no group to hold open.
-    sh.flushing = true;
+    sh.flushing.store(true, std::memory_order_relaxed);
     FlushLocked(sh, lk);  // failure parks in shard state; loop re-checks
-    sh.flushing = false;
+    sh.flushing.store(false, std::memory_order_release);
     sh.cv.notify_all();
   }
 }
@@ -519,18 +689,37 @@ Status WriteAheadLog::EnsureShardDurableThrough(Shard& sh,
 Status WriteAheadLog::WaitDurable(const WalTicket& ticket) {
   if (ticket.seq == 0) return Status::OK();
   Shard& own = *shards_[ticket.shard % shards_.size()];
-  {
+  if (own.flushed_seq.load(std::memory_order_acquire) < ticket.seq) {
     std::unique_lock<std::mutex> lk(own.mu);
+    uint64_t ride_deadline = 0;  // set when the ride's spin starts
     for (;;) {
-      if (own.flushed_seq >= ticket.seq) break;
+      if (own.flushed_seq.load(std::memory_order_relaxed) >= ticket.seq) {
+        break;
+      }
       if (own.broken) {
         // Our record is in the lost set (it would have flushed first
         // otherwise, per-shard seqs being ascending):
         // installed but never durable — the caller must not retry.
         return Status::DurabilityLost(own.broken_status.message());
       }
-      if (own.flushing) {
+      if (own.flushing.load(std::memory_order_relaxed)) {
         // A leader is already cutting a group; ride or retry after it.
+        // Its write() is usually shorter than a cv round trip, so spin
+        // on the atomic mirror first, parking once the spin runs out.
+        if (ride_deadline == 0 && FlushFitsSpin(kRideSpinNs)) {
+          ride_deadline = MonotonicNowNs() + kRideSpinNs;
+        }
+        if (ride_deadline != 0 && MonotonicNowNs() < ride_deadline) {
+          lk.unlock();
+          SpinUntil(ride_deadline, [&] {
+            return own.flushed_seq.load(std::memory_order_acquire) >=
+                       ticket.seq ||
+                   !own.flushing.load(std::memory_order_acquire);
+          });
+          lk.lock();
+          continue;
+        }
+        if (stats_ != nullptr) stats_->Add(kStatWalRiderParks);
         own.cv.wait(lk);
         continue;
       }
@@ -538,30 +727,61 @@ Status WriteAheadLog::WaitDurable(const WalTicket& ticket) {
       // that appended but are still fanning out their release (their
       // records are already buffered or will be before they park here)
       // — up to the window, cut early when nobody is in that gap.
-      own.flushing = true;
+      own.flushing.store(true, std::memory_order_relaxed);
       const uint64_t hold_us = GroupHoldUs();
       if (hold_us > 0 &&
           release_pending_.load(std::memory_order_acquire) != 0) {
+        // Counted before the predicate's first check (see "Group
+        // commit" in wal.h): NoteCommitReleased kicks only counted
+        // leaders.
+        holding_leaders_.fetch_add(1, std::memory_order_seq_cst);
         own.cv.wait_for(
             lk, std::chrono::microseconds(hold_us),
             [&] {
-              return release_pending_.load(std::memory_order_acquire) ==
+              return release_pending_.load(std::memory_order_seq_cst) ==
                      0;
             });
+        holding_leaders_.fetch_sub(1, std::memory_order_seq_cst);
       }
       FlushLocked(own, lk);  // failure parks in shard state; re-checked
-      own.flushing = false;
+      own.flushing.store(false, std::memory_order_release);
       own.cv.notify_all();
     }
   }
   // Own shard durable through our seq; now close the cross-shard cut:
   // no record below us may still be pending anywhere, or a crash now
-  // would replay this commit without a dependency it may have read.
+  // would replay this commit without a dependency it may have read. One
+  // seq_cst load of a shard's pending floor settles it when nothing <=
+  // our seq is pending there (the argument is in wal.h); otherwise spin
+  // briefly, since that shard's own committer is usually mid-flush, and
+  // only then take its mutex to ride or run its flush.
+  Status s;
+  uint64_t load_clears = 0;
   for (auto& shp : shards_) {
-    if (shp.get() == &own) continue;
-    RETURN_IF_ERROR(EnsureShardDurableThrough(*shp, ticket.seq));
+    Shard& sh = *shp;
+    if (&sh == &own) continue;
+    const auto clear = [&] {
+      const uint64_t floor =
+          sh.pending_floor.load(std::memory_order_seq_cst);
+      return floor == 0 || floor > ticket.seq;
+    };
+    if (clear()) {
+      ++load_clears;
+      continue;
+    }
+    if (FlushFitsSpin(kCutSpinNs) &&
+        SpinUntil(MonotonicNowNs() + kCutSpinNs, clear)) {
+      if (stats_ != nullptr) stats_->Add(kStatWalCutSpinClears);
+      continue;
+    }
+    if (stats_ != nullptr) stats_->Add(kStatWalCutLockedChecks);
+    s = EnsureShardDurableThrough(sh, ticket.seq);
+    if (!s.ok()) break;
   }
-  return Status::OK();
+  if (stats_ != nullptr && load_clears != 0) {
+    stats_->Add(kStatWalCutLoadClears, load_clears);
+  }
+  return s;
 }
 
 Status WriteAheadLog::FlushAll() {
@@ -570,14 +790,14 @@ Status WriteAheadLog::FlushAll() {
   for (auto& shp : shards_) {
     Shard& sh = *shp;
     std::unique_lock<std::mutex> lk(sh.mu);
-    while (sh.flushing) sh.cv.wait(lk);
+    while (sh.flushing.load(std::memory_order_relaxed)) sh.cv.wait(lk);
     if (sh.broken) {
       if (first.ok()) first = sh.broken_status;
       continue;
     }
-    sh.flushing = true;
+    sh.flushing.store(true, std::memory_order_relaxed);
     const Status s = FlushLocked(sh, lk);
-    sh.flushing = false;
+    sh.flushing.store(false, std::memory_order_release);
     sh.cv.notify_all();
     if (!s.ok() && first.ok()) first = s;
   }
@@ -592,9 +812,7 @@ void WriteAheadLog::BreakShardForTest(uint32_t shard, uint64_t lost_floor,
                                       Status why) {
   Shard& sh = *shards_[shard % shards_.size()];
   std::lock_guard<std::mutex> lock(sh.mu);
-  sh.broken = true;
-  sh.lost_floor = lost_floor;
-  sh.broken_status = std::move(why);
+  BreakLocked(sh, lost_floor, std::move(why));
 }
 
 Status WriteAheadLog::WriteFileAtomic(const std::string& path,
@@ -613,17 +831,10 @@ Status WriteAheadLog::WriteFileAtomic(const std::string& path,
     limit = data.size() / 2;
     torn = true;
   }
-  size_t off = 0;
-  while (off < limit) {
-    const size_t n = std::min(kWriteChunk, limit - off);
-    const ssize_t w = ::write(fd, data.data() + off, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      const Status s = Errno("write", tmp);
-      ::close(fd);
-      return s;
-    }
-    off += static_cast<size_t>(w);
+  const Status ws = WriteAll(fd, tmp, data.data(), limit);
+  if (!ws.ok()) {
+    ::close(fd);
+    return ws;
   }
   if (torn) {
     ::close(fd);
@@ -786,43 +997,49 @@ Status WriteAheadLog::LoadSnapshot(
   return Status::OK();
 }
 
-Status WriteAheadLog::RotateShardDropPrefix(Shard& sh, uint64_t floor,
-                                            uint64_t* dropped_bytes) {
+Status WriteAheadLog::RotateShard(Shard& sh, size_t keep_from, size_t size,
+                                  uint64_t* dropped_bytes) {
+  if (keep_from <= kMagicLen) return Status::OK();  // nothing to drop
+  const std::string tmp = sh.path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return Errno("open", tmp);
+  bool renamed = false;
+  auto cleanup = MakeCleanup([&] {
+    if (fd >= 0) ::close(fd);
+    if (!renamed) ::unlink(tmp.c_str());
+  });
+  const bool sync = options_.wal_fsync_mode != WalFsyncMode::kNone;
+  // The bulk, with sh.mu dropped: below `size` the file is append-only
+  // and checkpoint_mutex_ keeps any other rotation or truncation out.
+  RETURN_IF_ERROR(WriteAll(fd, tmp, kMagic, kMagicLen));
+  RETURN_IF_ERROR(CopyRange(sh.fd, sh.path, keep_from, size, fd, tmp));
+  if (sync && ::fsync(fd) != 0) return Errno("fsync", tmp);
   std::unique_lock<std::mutex> lk(sh.mu);
-  while (sh.flushing) sh.cv.wait(lk);
+  while (sh.flushing.load(std::memory_order_relaxed)) sh.cv.wait(lk);
   // A broken shard's file may end in a torn group; leave it whole for
   // recovery to judge (it poisons acks anyway).
   if (sh.broken) return Status::OK();
-  std::string data;
-  RETURN_IF_ERROR(ReadWholeFile(sh.fd, sh.path, &data));
-  std::vector<RecoveredRecord> recs;
-  const size_t valid = ScanShardImage(data, /*shard_index=*/0, &recs);
-  // First byte to keep: the frame of the first record above the floor,
-  // or the end of the well-framed region when everything is below it
-  // (trailing bytes past `valid` should not exist on a healthy live
-  // shard, but are preserved verbatim if they do).
-  size_t keep_from = valid;
-  for (const RecoveredRecord& rec : recs) {
-    if (rec.seq > floor) {
-      keep_from = rec.frame_start;
-      break;
-    }
+  // Only the bytes appended since the fix-up walk are copied here.
+  const off_t end = ::lseek(sh.fd, 0, SEEK_END);
+  if (end < 0) return Errno("lseek", sh.path);
+  RETURN_IF_ERROR(CopyRange(sh.fd, sh.path, size, static_cast<size_t>(end),
+                            fd, tmp));
+  if (sync && ::fsync(fd) != 0) return Errno("fsync", tmp);
+  ::close(fd);
+  fd = -1;
+  if (::rename(tmp.c_str(), sh.path.c_str()) != 0) {
+    return Errno("rename", tmp);
   }
-  if (keep_from <= kMagicLen) return Status::OK();  // nothing to drop
-  std::string rotated(kMagic, kMagicLen);
-  rotated.append(data, keep_from, std::string::npos);
-  RETURN_IF_ERROR(WriteFileAtomic(sh.path, rotated,
-                                  /*inject_short_write=*/false));
+  renamed = true;
+  if (sync) SyncDirOf(sh.path);
   // The old O_APPEND fd now points at the unlinked inode; reopen on the
   // rotated file before releasing the shard (no append can interleave:
   // we hold sh.mu throughout).
   const int nfd = ::open(sh.path.c_str(), O_RDWR | O_APPEND, 0644);
   if (nfd < 0) {
     // Appends would silently land on the dead inode — break the shard
-    // (floor 0: nothing provably durable from here on).
-    sh.broken = true;
-    sh.lost_floor = 0;
-    sh.broken_status = Errno("reopen after rotate", sh.path);
+    // (floor unknown: nothing provably durable from here on).
+    BreakLocked(sh, 0, Errno("reopen after rotate", sh.path));
     return sh.broken_status;
   }
   ::close(sh.fd);
@@ -844,9 +1061,19 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
   });
   RETURN_IF_ERROR(LoadManifestLocked());
 
-  // 1. Fuzzy scan of the base store. Commits keep installing while the
-  // scan walks the shards; whatever it misses is repaired from the log
-  // in the fix-up pass below.
+  // 1. Replay floor F0, then the fuzzy scan of the base store. Every
+  // record <= F0 was assigned before this read and is not unreleased,
+  // so it finished installing before the scan starts (Preload installs
+  // before it appends); the fix-up below never needs it.
+  uint64_t replay_floor = next_seq_.load(std::memory_order_seq_cst);
+  for (auto& shp : shards_) {
+    std::lock_guard<std::mutex> lock(shp->mu);
+    for (const uint64_t s : shp->unreleased) {
+      replay_floor = std::min(replay_floor, s - 1);
+    }
+  }
+  // Commits keep installing while the scan walks the key shards;
+  // whatever it misses is repaired from the log in the fix-up below.
   std::unordered_map<std::string, int64_t> image;
   scan([&image](const std::string& key, int64_t value) {
     image.insert_or_assign(key, value);
@@ -872,7 +1099,8 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
   // 4. Truncation floor F: a record whose commit has not finished its
   // release fan-out may be missing from this scan — and from the next
   // checkpoint's scan — so its log copy must survive for the fix-up.
-  // F = min(C, lowest unreleased seq - 1); in quiescence F == C.
+  // F = min(C, lowest unreleased seq - 1); in quiescence F == C. Read
+  // after C, so the next checkpoint's replay floor is >= F.
   uint64_t floor = cut;
   for (auto& shp : shards_) {
     std::lock_guard<std::mutex> lock(shp->mu);
@@ -881,27 +1109,39 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
     }
   }
 
-  // 5. Fix-up: replay every surviving record <= C onto the image in seq
-  // order. Repairs installs the scan raced past; never introduces an
-  // effect beyond the cut (records > C are skipped). Every record the
-  // repair could need is on disk: truncation floors are monotone and
-  // step 4's floor never passed an unreleased commit.
+  // 5. Fix-up: replay the log suffix (F0, C] onto the image in seq
+  // order. For each key the scan holds the effect of its last record
+  // <= F0 or of a later one <= C (per-key commit order is seq order), so
+  // a key written in (F0, C] ends at its last write <= C and every other
+  // key was already right. Every such record is on disk: step 3 flushed
+  // it, and the previous checkpoint truncated only <= its F <= F0. Each
+  // shard mutex is held only to wait out a flush and record the file
+  // size; below that size the file is append-only (checkpoint_mutex_
+  // excludes rotation), so the walk reads it unlocked, in bounded
+  // windows, and also notes where rotation will keep from.
+  const size_t nshards = shards_.size();
+  std::vector<size_t> walked(nshards, 0);
+  std::vector<size_t> keep_from(nshards, 0);
   std::vector<RecoveredRecord> records;
-  for (uint32_t si = 0; si < static_cast<uint32_t>(shards_.size());
-       ++si) {
+  for (size_t si = 0; si < nshards; ++si) {
     Shard& sh = *shards_[si];
-    std::unique_lock<std::mutex> lk(sh.mu);
-    while (sh.flushing) sh.cv.wait(lk);
-    std::string data;
-    RETURN_IF_ERROR(ReadWholeFile(sh.fd, sh.path, &data));
-    ScanShardImage(data, si, &records);
+    {
+      std::unique_lock<std::mutex> lk(sh.mu);
+      while (sh.flushing.load(std::memory_order_relaxed)) sh.cv.wait(lk);
+      const off_t end = ::lseek(sh.fd, 0, SEEK_END);
+      if (end < 0) return Errno("lseek", sh.path);
+      walked[si] = static_cast<size_t>(end);
+    }
+    Result<size_t> keep = WalkShardFile(sh.fd, sh.path, walked[si],
+                                        replay_floor, cut, floor, &records);
+    if (!keep.ok()) return keep.status();
+    keep_from[si] = *keep;
   }
   std::sort(records.begin(), records.end(),
             [](const RecoveredRecord& a, const RecoveredRecord& b) {
               return a.seq < b.seq;
             });
   for (const RecoveredRecord& rec : records) {
-    if (rec.seq > cut) continue;
     for (const WalWrite& w : rec.writes) {
       if (w.value.has_value()) {
         image.insert_or_assign(w.key, *w.value);
@@ -979,8 +1219,9 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
   // governing a whole log; a crash between rename and here just leaves
   // a longer log than necessary (recovery replays it idempotently).
   uint64_t dropped = 0;
-  for (auto& shp : shards_) {
-    RETURN_IF_ERROR(RotateShardDropPrefix(*shp, floor, &dropped));
+  for (size_t si = 0; si < nshards; ++si) {
+    RETURN_IF_ERROR(
+        RotateShard(*shards_[si], keep_from[si], walked[si], &dropped));
   }
   for (const std::string& f : unlink_files) {
     ::unlink((options_.wal_dir + "/" + f).c_str());
@@ -990,11 +1231,15 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
     stats_->Add(kStatWalCheckpoints);
     stats_->Add(kStatWalCheckpointKeys, image.size());
     if (dropped != 0) stats_->Add(kStatWalCheckpointTruncated, dropped);
+    if (!records.empty()) {
+      stats_->Add(kStatWalCheckpointFixupRecords, records.size());
+    }
   }
   if (info != nullptr) {
     info->cut = cut;
     info->snapshot_keys = image.size();
     info->truncated_bytes = dropped;
+    info->fixup_replayed = records.size();
   }
   return Status::OK();
 }
@@ -1012,6 +1257,9 @@ Status WriteAheadLog::Recover(
         "Recover requires a fresh log (appends already issued — call "
         "Recover before any Preload or transaction)");
   }
+  // Held throughout: a checkpoint reads shard files unlocked and must
+  // not see them truncated under it.
+  std::lock_guard<std::mutex> serialize(checkpoint_mutex_);
   // Snapshot first: newest manifest generation, falling back one
   // generation on a failed read. With no manifest the replay starts
   // from seq 1 (the pre-checkpoint behaviour).
@@ -1019,7 +1267,6 @@ Status WriteAheadLog::Recover(
   uint64_t snap_keys = 0;
   uint64_t newest_cut = 0;
   {
-    std::lock_guard<std::mutex> lock(checkpoint_mutex_);
     RETURN_IF_ERROR(LoadManifestLocked());
     if (manifest_corrupt_) {
       return Status::IoError(
@@ -1187,7 +1434,7 @@ Status WriteAheadLog::Recover(
                                     std::memory_order_relaxed);
   for (auto& shp : shards_) {
     std::lock_guard<std::mutex> lock(shp->mu);
-    shp->flushed_seq = cut;
+    shp->flushed_seq.store(cut, std::memory_order_release);
     shp->buffered_seq = cut;
   }
   if (info != nullptr) {

@@ -18,7 +18,7 @@
 // last-writer-wins replay reconstructs exactly the committed store.
 //
 // Group commit rides the engine's commit fan-out: Append() runs before
-// the three-phase ReleaseBatch, WaitDurable() after it. A parked waiter
+// the two-phase ReleaseBatch, WaitDurable() after it. A parked waiter
 // becomes the shard's flush leader and holds the group open for up to
 // `wal_group_commit_us`, cutting early the moment no committer in the
 // whole engine sits between append and release (the commit path reports
@@ -27,20 +27,48 @@
 // release fan-out itself is the batching window, no dedicated flusher
 // thread needed. With wal_adaptive_group_commit the leader tightens the
 // window to the observed fsync-latency EWMA: holding a group longer
-// than one fsync costs more latency than the batching saves.
+// than one fsync costs more latency than the batching saves. A release
+// kicks the shards' condition variables only while some leader is
+// actually holding a group open: the leader bumps `holding_leaders_`
+// before it re-checks `release_pending_` under its shard mutex, and a
+// releaser decrements `release_pending_` before it loads
+// `holding_leaders_`, all four operations seq_cst. In their total order
+// either the releaser sees the leader counted (and kicks it, through
+// the shard mutex, so the kick cannot fall between the leader's check
+// and its park) or the leader's check sees the decrement (and never
+// parks for it). A rider whose record is in the group being written
+// spins briefly on the shard's atomic `flushed_seq`/`flushing` mirror
+// before it parks on the condition variable: in `none` mode a flush is
+// one microsecond-long write(), while a condition-variable round trip
+// costs tens of microseconds. When the flush-latency EWMA exceeds the
+// spin bound (the fsync modes) it parks at once.
 //
 // Cross-shard consistent cut (what makes an ack safe with >1 shard): a
 // commit's effects install before WaitDurable, so a later commit on
 // ANOTHER shard may have read them and must not become durable first —
 // or a crash would replay the dependent commit without its dependency.
-// Seq assignment is atomic with buffering, so once seq S exists, every
-// record with seq < S is already buffered (or flushed) somewhere.
 // WaitDurable(S) therefore returns OK only when EVERY shard is durable
-// through S (Silo-style epoch durability with seq as the epoch): after
-// its own shard flushes, the waiter visits each other shard and, if
-// records <= S are still pending there, rides or becomes that shard's
-// flush leader too. The acked prefix of the seq order is then always
-// transaction-consistent.
+// through S (Silo-style epoch durability with seq as the epoch). Each
+// shard publishes `pending_floor`, the lowest seq buffered or in flight
+// on it (0 = nothing pending), written only under its mutex. An append
+// to an idle shard first stores a lower bound for its seq (`next_seq_`
+// + 1), then takes its seq with the `fetch_add`, then stores the exact
+// seq once the record is buffered; a completed flush stores the floor of
+// what was buffered behind its group; a broken shard pins its lost
+// floor (1 when unknown) and never clears it. The announce store, the
+// seq `fetch_add` and the waiter's loads are seq_cst, which makes the
+// check one load per shard: take any record s < S on shard X. Its
+// `fetch_add` precedes S's in `next_seq_`'s modification order, its
+// announce (or the earlier append that made X non-idle) precedes its
+// `fetch_add`, and S's `fetch_add` happens before the waiter's load, so
+// the load reads X's floor from that announce or from a later store.
+// Every such value is <= s until a flush that wrote s stores a floor
+// above it, so a load of 0 or of a floor above S proves every record
+// <= S on X is durable. Otherwise the waiter spins briefly (X's own
+// committer is usually mid-flush) and only then takes X's mutex, where
+// it rides X's flush or flushes X itself; a broken X whose lost floor
+// is <= S reports kDurabilityLost there. The acked prefix of the seq
+// order is then always transaction-consistent.
 //
 // Crash model: a shard whose flush fails goes sticky-broken. Appends to
 // it return Status::IoError — a clean abort before install, retryable.
@@ -58,22 +86,34 @@
 // depend on the lost commit). Appending then resumes above the cut.
 //
 // Checkpointing (what bounds the log): Checkpoint() captures the base
-// store as of a durable cut C without stalling commits. The scan is
-// fuzzy — it walks the shards under their ordinary key mutexes while
-// commits keep installing — and C is read AFTER the scan finishes, so
-// the scan can never contain the effect of a record with seq > C
-// (installs happen strictly after seq assignment). It CAN be missing
-// the effect of a record <= C whose install was still in flight; the
-// fix-up pass repairs exactly that by replaying every surviving log
-// record <= C onto the scanned image (possible because truncation never
-// drops a record whose commit has not finished its release fan-out —
-// the truncation floor F is min(C, lowest-unreleased-seq - 1)). The
-// snapshot then goes to disk CRC-framed (tmp + fsync + rename), a
-// two-generation `CHECKPOINT` manifest is installed atomically, and
-// each shard's log drops its prefix <= F by rotation. Every crash point
-// in that ordering recovers: before the manifest rename the old
-// manifest still governs; after it the new snapshot is fsynced; the log
-// prefix only shrinks after both.
+// store as of a durable cut C. Before the scan it captures the replay
+// floor F0 = min(next seq, lowest unreleased seq - 1), reading each
+// shard's unreleased set under its mutex. Every record <= F0 finished
+// installing before the scan started (a released commit has installed;
+// Preload installs before it appends). The scan is fuzzy — it walks the
+// key shards while commits keep installing — and C is read AFTER the
+// scan finishes, so the scan can never contain the effect of a record
+// with seq > C (installs happen strictly after seq assignment). Per-key
+// commit order is seq order, so for each key the scan holds the effect
+// of the last record <= F0 or of a later record <= C. The fix-up
+// therefore replays only the log suffix (F0, C], in seq order, onto the
+// scanned image: a key written in that range ends at its last write <=
+// C, and any other key was already right. The fix-up reads shard files
+// with the shard mutex dropped: under the mutex it only waits out a
+// flush and records the file size, below which the file is append-only
+// (checkpoint serialization excludes rotation); it CRC-checks every
+// frame but decodes only records in (F0, C]. Truncation never drops a
+// record a later fix-up needs: the truncation floor F is min(C,
+// lowest-unreleased-seq - 1), read after C, so the next checkpoint's F0
+// is >= F. The snapshot then goes to disk CRC-framed (tmp + fsync +
+// rename), a two-generation `CHECKPOINT` manifest is installed
+// atomically, and each shard's log drops its prefix <= F by rotation:
+// the bulk, from the first record above F up to the recorded size, is
+// copied (and synced, in the fsync modes) with the mutex dropped; only
+// the bytes appended since are copied under it, before the rename and
+// the reopen. Every crash point in that ordering recovers: before the
+// manifest rename the old manifest still governs; after it the new
+// snapshot is fsynced; the log prefix only shrinks after both.
 //
 // Recovery with a snapshot: load the newest manifest generation (CRC
 // failure falls back to the previous one), apply the snapshot, then
@@ -192,11 +232,14 @@ class WriteAheadLog {
 
   /// Block until the ticket's record — and, with multiple shards, every
   /// record with a smaller seq on ANY shard — is durable per the fsync
-  /// mode (the cross-shard consistent cut above). The first waiter
-  /// parked on an unflushed shard becomes its flush leader; everyone
-  /// else rides the batch. Returns kDurabilityLost (never plain
-  /// IoError) when a broken shard makes the cut unreachable: the
-  /// caller's effects are installed but must not be retried.
+  /// mode (the cross-shard consistent cut above). The first waiter on an
+  /// unflushed shard becomes its flush leader; everyone else rides the
+  /// batch. Another shard costs one load of its pending floor when
+  /// nothing <= the ticket's seq is pending there, and its mutex only
+  /// when something still is after a brief spin. Returns
+  /// kDurabilityLost (never plain IoError) when a broken shard makes the
+  /// cut unreachable: the caller's effects are installed but must not be
+  /// retried.
   Status WaitDurable(const WalTicket& ticket);
 
   /// The committer that appended `ticket` has now installed its effects
@@ -222,6 +265,7 @@ class WriteAheadLog {
     uint64_t cut = 0;              // C: the snapshot covers seqs <= C
     uint64_t snapshot_keys = 0;    // keys written into the snapshot
     uint64_t truncated_bytes = 0;  // log bytes dropped by rotation
+    uint64_t fixup_replayed = 0;   // log records replayed onto the scan
     bool skipped = false;          // nothing new since the last one
   };
 
@@ -285,20 +329,24 @@ class WriteAheadLog {
     std::condition_variable cv;
     int fd = -1;
     std::string path;
-    std::string buffer;         // encoded records awaiting flush
-    uint64_t buffered_seq = 0;  // highest seq in buffer (or flushed)
+    std::string buffer;            // encoded records awaiting flush
+    uint64_t buffered_seq = 0;     // highest seq in buffer (or flushed)
     uint64_t buffer_min_seq = 0;   // lowest seq in buffer (0 = empty)
-    uint64_t inflight_min_seq = 0; // lowest seq in the group being
-                                   // written (0 = none in flight)
-    uint64_t flushed_seq = 0;   // highest seq durable on disk
-    bool flushing = false;      // a leader is cutting/writing a group
-    bool broken = false;        // sticky after any write/sync failure
-    uint64_t lost_floor = 0;    // lowest seq the failed flush dropped
+    bool broken = false;           // sticky after any write/sync failure
     Status broken_status;
     /// Seqs appended with release_follows whose NoteCommitReleased has
     /// not arrived yet: their installs may still be in flight, so a
     /// checkpoint must not truncate them (the fix-up pass needs them).
     std::vector<uint64_t> unreleased;
+    // Written only under `mu`, read without it by waiters. On their own
+    // cache line so those loads do not bounce the line holding `mu`.
+    /// Lowest seq buffered or in flight here (0 = nothing pending). A
+    /// broken shard holds its lost floor — the lowest seq the failed
+    /// flush dropped, 1 when unknown — forever. See "Cross-shard
+    /// consistent cut" above for the store protocol.
+    alignas(64) std::atomic<uint64_t> pending_floor{0};
+    std::atomic<uint64_t> flushed_seq{0};  // highest seq durable on disk
+    std::atomic<bool> flushing{false};  // a leader is cutting/writing
   };
 
   /// One manifest generation: a snapshot file and the cut it covers.
@@ -316,10 +364,18 @@ class WriteAheadLog {
   /// Cut and write the shard's buffered group. Called with `lk` held and
   /// sh.flushing set by the caller; drops the lock for the IO itself.
   Status FlushLocked(Shard& sh, std::unique_lock<std::mutex>& lk);
-  /// Cross-shard half of WaitDurable: block until every record of `sh`
-  /// with seq <= bound is durable, flushing the shard ourselves if no
-  /// leader is on it. kDurabilityLost if the shard broke losing one.
+  /// Locked fallback of the cross-shard cut: block until every record
+  /// of `sh` with seq <= bound is durable, flushing the shard ourselves
+  /// if no leader is on it. kDurabilityLost if the shard broke losing
+  /// one.
   Status EnsureShardDurableThrough(Shard& sh, uint64_t bound);
+  /// Mark `sh` sticky-broken with `lost_floor` (0 = unknown, stored as
+  /// 1 so every ack that depends on the shard poisons). Caller holds
+  /// sh.mu.
+  static void BreakLocked(Shard& sh, uint64_t lost_floor, Status why);
+  /// True when the flush-latency EWMA says a flush fits in `spin_ns`, so
+  /// a waiter may spin that long before parking.
+  bool FlushFitsSpin(uint64_t spin_ns) const;
   /// The unlocked write+sync of one cut group (failpoint injection,
   /// chunked writes, fsync mode, stats/metrics).
   Status WriteAndSync(Shard& sh, const std::string& group);
@@ -344,12 +400,14 @@ class WriteAheadLog {
                       const std::function<void(const std::string&,
                                                std::optional<int64_t>)>& apply,
                       uint64_t* keys_loaded);
-  /// Rewrite `sh`'s file keeping only records with seq > floor (and any
-  /// bytes past the last well-framed record, so a broken shard's torn
-  /// tail survives for recovery to judge). Caller holds checkpoint
-  /// serialization; takes sh.mu itself.
-  Status RotateShardDropPrefix(Shard& sh, uint64_t floor,
-                               uint64_t* dropped_bytes);
+  /// Rewrite `sh`'s file without its bytes before `keep_from`: the bulk
+  /// up to `size` (recorded under sh.mu by the fix-up walk) is copied
+  /// with the mutex dropped, the bytes appended since under it, before
+  /// the rename and the reopen. A broken shard is left whole. Caller
+  /// holds checkpoint_mutex_, which keeps the file append-only below
+  /// `size`.
+  Status RotateShard(Shard& sh, size_t keep_from, size_t size,
+                     uint64_t* dropped_bytes);
 
   EngineOptions options_;
   EngineStats* stats_;
@@ -358,15 +416,20 @@ class WriteAheadLog {
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Global commit sequence; assigned under the shard mutex so each
   /// shard file is internally seq-ascending (tail truncation then never
-  /// drops a record that a surviving later record depends on).
+  /// drops a record that a surviving later record depends on), with a
+  /// seq_cst fetch_add (the cross-shard cut's ordering argument).
   std::atomic<uint64_t> next_seq_{0};
   /// Committers that appended and have not yet finished their release
   /// fan-out — the group-commit leader's "someone is still coming".
   std::atomic<uint64_t> release_pending_{0};
+  /// Flush leaders currently holding a group open for release_pending_
+  /// to drain: NoteCommitReleased kicks the shards only while nonzero.
+  std::atomic<uint32_t> holding_leaders_{0};
   /// Set by the first append; Recover requires it clear.
   std::atomic<bool> appended_{false};
-  /// EWMA of observed fsync latency (ns), fed by WriteAndSync; the
-  /// adaptive group-commit leader derives its hold time from it.
+  /// EWMA of observed flush latency (ns), fed by WriteAndSync; the
+  /// adaptive group-commit leader derives its hold time from it, and
+  /// waiters decide from it whether to spin or park.
   std::atomic<uint64_t> fsync_ewma_ns_{0};
   /// Log bytes appended since the last completed checkpoint — the
   /// automatic-trigger odometer.
@@ -376,7 +439,9 @@ class WriteAheadLog {
   /// Non-blocking kick installed by SetCheckpointTrigger (never changes
   /// after the first append).
   std::function<void()> checkpoint_trigger_;
-  /// Serializes Checkpoint() bodies and guards the manifest state.
+  /// Serializes Checkpoint() and Recover() bodies (so the files a
+  /// checkpoint reads unlocked neither rotate nor shrink under it) and
+  /// guards the manifest state.
   std::mutex checkpoint_mutex_;
   bool manifest_loaded_ = false;
   /// A manifest file existed but failed validation: Recover refuses

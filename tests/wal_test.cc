@@ -17,8 +17,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -28,6 +30,8 @@
 
 #include "core/database.h"
 #include "core/failpoints.h"
+#include "core/stats.h"
+#include "core/wal.h"
 #include "util/strings.h"
 
 namespace nestedtx {
@@ -169,6 +173,11 @@ TEST(WalTest, GroupCommitBatchesConcurrentCommitters) {
     EXPECT_EQ(snap.wal_appends, uint64_t{kThreads * kTxns});
     EXPECT_GE(snap.group_commit_batches, 1u);
     EXPECT_LE(snap.group_commit_batches, uint64_t{kThreads * kTxns});
+    // Every ack settles each other shard by exactly one of the cut's
+    // three outcomes.
+    EXPECT_EQ(snap.wal_cut_load_clears + snap.wal_cut_spin_clears +
+                  snap.wal_cut_locked_checks,
+              uint64_t{kThreads * kTxns} * (o.wal_shards - 1));
   }
   Database db(WalOptions(dir.path));
   ASSERT_TRUE(db.Recover().ok());
@@ -522,6 +531,48 @@ TEST(WalTest, BrokenShardPoisonsLaterAcksOnHealthyShards) {
   ASSERT_TRUE(db.Recover().ok());
   EXPECT_EQ(Committed(db, "lost"), std::nullopt);
   EXPECT_EQ(Committed(db, "later"), std::nullopt);
+}
+
+// The one-load cut check must still hold an ack back for an earlier
+// record on another shard: seq 1 sits buffered on shard 1 with nobody
+// flushing it, so the waiter for seq 2 reads shard 1's floor as 1, spins
+// without the floor moving, falls through to the locked path, and
+// flushes shard 1 itself before it returns.
+TEST(WalTest, AckWaitsForEarlierSeqOnAnotherShard) {
+  TempDir dir;
+  EngineOptions o = WalOptions(dir.path);  // 2 shards, window 0
+  o.wal_fsync_mode = WalFsyncMode::kNone;
+  EngineStats stats;
+  WriteAheadLog wal(o, &stats, nullptr);
+  ASSERT_TRUE(wal.OpenStatus().ok());
+  const Result<WalTicket> t1 =
+      wal.AppendImage(/*shard_hint=*/1, std::vector<WalWrite>{{"a", 1}});
+  const Result<WalTicket> t2 =
+      wal.AppendImage(/*shard_hint=*/0, std::vector<WalWrite>{{"b", 2}});
+  ASSERT_TRUE(t1.ok());
+  ASSERT_TRUE(t2.ok());
+  ASSERT_EQ(t1->shard, 1u);
+  ASSERT_EQ(t1->seq, 1u);
+  ASSERT_EQ(t2->shard, 0u);
+  ASSERT_EQ(t2->seq, 2u);
+  wal.NoteCommitReleased(*t1);
+  wal.NoteCommitReleased(*t2);
+  ASSERT_TRUE(wal.WaitDurable(*t2).ok());
+  // wal-1.log now holds seq 1's frame: magic, u32 len, u32 crc, u64 seq.
+  std::string data;
+  {
+    std::ifstream f(dir.path + "/wal-1.log", std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    data = ss.str();
+  }
+  ASSERT_GE(data.size(), 24u);
+  uint64_t seq = 0;
+  std::memcpy(&seq, data.data() + 16, sizeof(seq));
+  EXPECT_EQ(seq, 1u);
+  const StatsSnapshot snap = stats.Snapshot();
+  EXPECT_EQ(snap.wal_cut_locked_checks, 1u);
+  EXPECT_EQ(snap.wal_cut_load_clears + snap.wal_cut_spin_clears, 0u);
 }
 
 // RunTransaction must NOT re-run a body whose commit reported
@@ -1017,6 +1068,60 @@ TEST(WalTest, CheckpointConcurrentWithCommitsLosesNothing) {
                 std::optional<int64_t>(t * 1000 + i));
     }
   }
+}
+
+// The fix-up replays only the log suffix the scan can have missed. A is
+// released before the checkpoint, so its install is done and the scan
+// holds it; B is appended but not released, so its install may still be
+// in flight, and this scan misses it. The snapshot must hold both, with
+// B alone replayed from the log; once B is released and nothing new is
+// appended, a checkpoint replays nothing.
+TEST(WalTest, CheckpointRepairsUnreleasedInstallFromLogSuffix) {
+  TempDir dir;
+  EngineOptions o = WalOptions(dir.path);  // 2 shards, window 0
+  o.wal_fsync_mode = WalFsyncMode::kNone;
+  using Emit = std::function<void(const std::string&, int64_t)>;
+  {
+    WriteAheadLog wal(o, nullptr, nullptr);
+    ASSERT_TRUE(wal.OpenStatus().ok());
+    const Result<WalTicket> a =
+        wal.AppendImage(/*shard_hint=*/0, std::vector<WalWrite>{{"a", 1}});
+    ASSERT_TRUE(a.ok());
+    wal.NoteCommitReleased(*a);
+    const Result<WalTicket> b =
+        wal.AppendImage(/*shard_hint=*/1, std::vector<WalWrite>{{"b", 2}});
+    ASSERT_TRUE(b.ok());
+    WriteAheadLog::CheckpointInfo info;
+    ASSERT_TRUE(
+        wal.Checkpoint([](const Emit& emit) { emit("a", 1); }, &info).ok());
+    EXPECT_EQ(info.cut, 2u);
+    EXPECT_EQ(info.snapshot_keys, 2u);
+    EXPECT_EQ(info.fixup_replayed, 1u);
+    wal.NoteCommitReleased(*b);
+    ASSERT_TRUE(wal.Checkpoint(
+                       [](const Emit& emit) {
+                         emit("a", 1);
+                         emit("b", 2);
+                       },
+                       &info)
+                    .ok());
+    EXPECT_EQ(info.fixup_replayed, 0u);
+  }
+  WriteAheadLog wal(o, nullptr, nullptr);
+  std::map<std::string, std::optional<int64_t>> store;
+  WriteAheadLog::RecoveryInfo rinfo;
+  ASSERT_TRUE(wal.Recover(
+                     [&store](const std::string& key,
+                              std::optional<int64_t> value) {
+                       store[key] = value;
+                     },
+                     &rinfo)
+                  .ok());
+  EXPECT_EQ(rinfo.snapshot_cut, 2u);
+  EXPECT_EQ(rinfo.snapshot_keys, 2u);
+  EXPECT_EQ(rinfo.replayed, 0u);  // both values came from the snapshot
+  EXPECT_EQ(store["a"], std::optional<int64_t>(1));
+  EXPECT_EQ(store["b"], std::optional<int64_t>(2));
 }
 
 // Regression (audit finding): a shard broken with lost_floor == 0 has

@@ -1,22 +1,21 @@
 // E17 — the price of durability: WAL group commit under the fsync knob.
-// Sweeps fsync mode (none / fdatasync / fsync) x group-commit window
-// (0 = every committer flushes alone, 200us = committers ride each
-// other's syncs) x write-set size, with 4 committer threads on disjoint
-// key ranges (no lock conflicts: the WAL is the only shared resistance),
-// plus a wal-off baseline per write-set size.
+// Sweeps fsync mode (none / fdatasync / fsync) x write-set size, with 4
+// committer threads on disjoint key ranges (no lock conflicts: the WAL
+// is the only shared resistance) sharing one log shard, plus a wal-off
+// baseline per write-set size.
 //
-// What the cells show: with the window closed every commit pays a full
-// write+sync (fsyncs ~= appends); opening it amortizes — the
-// group_commit_batches and wal_fsyncs columns drop while appends stay
-// fixed, and throughput climbs toward the kNone ceiling at the cost of
-// p99 commit latency (committers park up to the window). The wal-off
-// row is the engine's native speed: the gap to it is the durability tax.
+// What the cells show: a flush leader writes at once, and records
+// appended while its write+sync is in flight are cut as one group by
+// the next leader — the group_commit_batches and wal_fsyncs columns
+// against the fixed appends column show how far that amortizes. The
+// wal-off row is the engine's native speed: the gap to it is the
+// durability tax.
 //
 // E18 — recovery time vs checkpointing: builds a log of N commit
-// records, then times Database::Recover() under full replay (1 and 4
-// parse threads) and after a checkpoint (snapshot + empty suffix). The
-// fsync numbers depend enormously on the backing filesystem, so every
-// row records the directory and filesystem it ran on.
+// records, then times Database::Recover() under full replay (one scan
+// thread per shard) and after a checkpoint (snapshot + empty suffix).
+// The fsync numbers depend enormously on the backing filesystem, so
+// every row records the directory and filesystem it ran on.
 //
 // The log directory: --dir=PATH if given, else $TMPDIR, else /tmp. A
 // unique subdirectory is created (and removed) per cell.
@@ -102,7 +101,6 @@ std::string MakeCellDir(const std::string& base) {
 struct Cell {
   bool wal = true;
   WalFsyncMode mode = WalFsyncMode::kFdatasync;
-  uint32_t window_us = 0;
   int writes = 1;  // keys per transaction
 };
 
@@ -119,8 +117,7 @@ struct CellResult {
 
 std::string CellName(const Cell& c) {
   if (!c.wal) return StrCat("waloff_w", c.writes);
-  return StrCat(WalFsyncModeName(c.mode), "_win", c.window_us, "_w",
-                c.writes);
+  return StrCat(WalFsyncModeName(c.mode), "_w", c.writes);
 }
 
 CellResult RunCell(const Cell& cell, const std::string& base) {
@@ -129,10 +126,9 @@ CellResult RunCell(const Cell& cell, const std::string& base) {
   if (cell.wal && !dir.empty()) {
     opts.wal_enabled = true;
     opts.wal_dir = dir;
-    opts.wal_group_commit_us = cell.window_us;
     opts.wal_fsync_mode = cell.mode;
-    // One shard: all committers share a log, so the group-commit window
-    // is what's measured. (The default round-robins top-levels across 4
+    // One shard: all committers share a log, so how commits group is
+    // what's measured. (The default round-robins top-levels across 4
     // shards, which at 4 threads leaves every group a group of one.)
     opts.wal_shards = 1;
   }
@@ -190,30 +186,27 @@ CellResult RunCell(const Cell& cell, const std::string& base) {
   return out;
 }
 
-// --- E18: recovery time vs log length, checkpointing, parse threads ---
+// --- E18: recovery time vs log length and checkpointing ---
 
 constexpr uint32_t kRecoveryShards = 4;
 constexpr int kRecoveryKeySpace = 4096;
 
-EngineOptions RecoveryOptions(const std::string& dir,
-                              uint32_t replay_threads) {
+EngineOptions RecoveryOptions(const std::string& dir) {
   EngineOptions o;
   o.wal_enabled = true;
   o.wal_dir = dir;
   o.wal_shards = kRecoveryShards;
-  o.wal_group_commit_us = 0;
   // kNone: log construction and replay speed are what's measured, not
   // the build-phase sync tax (a real recovery reads a log someone else
   // paid to sync).
   o.wal_fsync_mode = WalFsyncMode::kNone;
-  o.wal_recovery_threads = replay_threads;
   return o;
 }
 
 // Build a log of `records` single-key commit images over a bounded key
 // space (so the snapshot stays small while the log grows linearly).
 void BuildRecoveryLog(const std::string& dir, int records) {
-  Database db(RecoveryOptions(dir, 1));
+  Database db(RecoveryOptions(dir));
   for (int i = 0; i < records; ++i) {
     (void)db.RunTransaction(5, [&](Transaction& t) {
       return t.Put(StrCat("k", i % kRecoveryKeySpace), i);
@@ -241,11 +234,10 @@ struct RecoveryResult {
 
 // Time one Recover() over `dir` (non-destructive for re-timing: replay
 // only reads, and nothing here tears the log).
-RecoveryResult TimeRecovery(const std::string& dir,
-                            uint32_t replay_threads) {
+RecoveryResult TimeRecovery(const std::string& dir) {
   RecoveryResult out;
   out.log_bytes = LogBytes(dir);
-  Database db(RecoveryOptions(dir, replay_threads));
+  Database db(RecoveryOptions(dir));
   const double t0 = NowSeconds();
   const Status s = db.Recover();
   out.recover_seconds = NowSeconds() - t0;
@@ -270,7 +262,7 @@ void RunRecoverySweep(bench::JsonResultFile& out, const std::string& base,
   std::printf("%-22s | %12s %10s %10s %9s\n", "recovery",
               "records", "seconds", "replayed", "snapkeys");
   const auto emit = [&](const std::string& name, bool checkpointed,
-                        uint32_t threads, const RecoveryResult& r) {
+                        const RecoveryResult& r) {
     std::printf("%-22s | %12d %10.4f %10llu %9llu\n", name.c_str(),
                 records, r.recover_seconds,
                 static_cast<unsigned long long>(r.replayed),
@@ -281,25 +273,20 @@ void RunRecoverySweep(bench::JsonResultFile& out, const std::string& base,
         .Str("filesystem", fsname)
         .Int("records", static_cast<unsigned long long>(records))
         .Int("checkpointed", checkpointed ? 1 : 0)
-        .Int("replay_threads", threads)
         .Num("recover_seconds", r.recover_seconds)
         .Int("replayed", r.replayed)
         .Int("snapshot_keys", r.snapshot_keys)
         .Int("log_bytes", r.log_bytes);
   };
 
-  emit(StrCat("recover_full_t1_n", records), false, 1,
-       TimeRecovery(dir, 1));
-  emit(StrCat("recover_full_t4_n", records), false, kRecoveryShards,
-       TimeRecovery(dir, kRecoveryShards));
+  emit(StrCat("recover_full_n", records), false, TimeRecovery(dir));
   {
     // Checkpoint the log: the next recovery loads the (bounded-key)
     // snapshot and replays an empty suffix — the E18 headline.
-    Database db(RecoveryOptions(dir, 1));
+    Database db(RecoveryOptions(dir));
     if (db.Recover().ok()) (void)db.Checkpoint();
   }
-  emit(StrCat("recover_ckpt_t1_n", records), true, 1,
-       TimeRecovery(dir, 1));
+  emit(StrCat("recover_ckpt_n", records), true, TimeRecovery(dir));
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
@@ -322,13 +309,10 @@ int Run(int argc, char** argv) {
     cells.push_back(off);
     for (WalFsyncMode mode : {WalFsyncMode::kNone, WalFsyncMode::kFdatasync,
                               WalFsyncMode::kFsync}) {
-      for (uint32_t window : {0u, 200u}) {
-        Cell c;
-        c.mode = mode;
-        c.window_us = window;
-        c.writes = writes;
-        cells.push_back(c);
-      }
+      Cell c;
+      c.mode = mode;
+      c.writes = writes;
+      cells.push_back(c);
     }
   }
   for (const Cell& cell : cells) {
@@ -345,7 +329,6 @@ int Run(int argc, char** argv) {
         .Str("dir", base)
         .Str("filesystem", fsname)
         .Str("fsync_mode", cell.wal ? WalFsyncModeName(cell.mode) : "off")
-        .Int("window_us", cell.wal ? cell.window_us : 0)
         .Int("writes_per_txn", static_cast<unsigned long long>(cell.writes))
         .Int("threads", kThreads)
         .Int("txns", static_cast<unsigned long long>(r.txns))

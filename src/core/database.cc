@@ -100,11 +100,12 @@ void Database::Preload(const std::string& key, int64_t value) {
   if (trace_ != nullptr) trace_->RecordPreload(key, value);
   WriteAheadLog* wal = manager_.wal();
   if (wal != nullptr) {
-    // Best-effort: a preload is setup, not a transaction, so it does not
-    // participate in group commit (no release follows) and a failed
-    // append only means recovery restarts from a re-run of setup. The
-    // immediate flush makes the preload durable now — nothing else would
-    // flush it until the first transactional group commit.
+    // Best-effort: a preload is setup, not a transaction. It installs
+    // before it appends, so no release follows for the checkpoint to
+    // wait on, and a failed or refused append only means recovery
+    // restarts from a re-run of setup. The immediate flush makes the
+    // preload durable now — nothing else would flush it until the first
+    // durable commit.
     std::vector<WalWrite> image;
     image.push_back(WalWrite{key, value});
     (void)wal->AppendImage(/*shard_hint=*/0, image, /*release_follows=*/false);
@@ -145,14 +146,14 @@ std::string Database::ExportMetricsText() {
   MetricsRegistry& metrics = manager_.metrics();
   return metrics.ExportText(
       manager_.stats().Snapshot(),
-      manager_.locks().CollectHotKeys(metrics.hot_key_top_k()));
+      manager_.locks().CollectHotKeys(MetricsRegistry::kHotKeyTopK));
 }
 
 std::string Database::ExportMetricsJson() {
   MetricsRegistry& metrics = manager_.metrics();
   return metrics.ExportJson(
       manager_.stats().Snapshot(),
-      manager_.locks().CollectHotKeys(metrics.hot_key_top_k()));
+      manager_.locks().CollectHotKeys(MetricsRegistry::kHotKeyTopK));
 }
 
 Status Database::RunTransaction(int max_attempts, const TxnBody& body) {

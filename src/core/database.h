@@ -45,18 +45,18 @@ class Database {
   /// Recover the store from `options.wal_dir`: load the newest valid
   /// checkpoint snapshot (falling back one generation on corruption),
   /// then replay only the post-checkpoint log suffix in commit (seq)
-  /// order — per-shard files are parsed in parallel
-  /// (wal_recovery_threads) and merged by seq. A torn tail (partial
-  /// record from a crash mid-flush) is truncated, as is anything above
-  /// the first gap in the global commit sequence (the cross-shard
-  /// consistent cut — see core/wal.h). Must be called before the first
-  /// transaction AND before any Preload on a WAL-enabled database;
-  /// FailedPrecondition otherwise. Idempotent: recovering twice (e.g.
-  /// after a crash during recovery itself) converges to the same state
-  /// because replay is last-writer-wins by seq. Any other failure
-  /// poisons the engine (a half-applied replay must never be served):
-  /// Begin() returns nullptr and RunTransaction returns this status
-  /// until the process restarts.
+  /// order — per-shard files are parsed in parallel (one scanner thread
+  /// per shard, up to the hardware threads) and merged by seq. A torn
+  /// tail (partial record from a crash mid-flush) is truncated, as is
+  /// anything above the first gap in the global commit sequence (the
+  /// cross-shard consistent cut — see core/wal.h). Must be called
+  /// before the first transaction AND before any Preload on a
+  /// WAL-enabled database; FailedPrecondition otherwise. Idempotent:
+  /// recovering twice (e.g. after a crash during recovery itself)
+  /// converges to the same state because replay is last-writer-wins by
+  /// seq. Any other failure poisons the engine (a half-applied replay
+  /// must never be served): Begin() returns nullptr and RunTransaction
+  /// returns this status until the process restarts.
   Status Recover();
 
   /// Checkpoint/compact the log (see core/wal.h): write a CRC-framed

@@ -1023,7 +1023,7 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
     if (coalesced > 0) stats_->Add(kStatWakeupsCoalesced, coalesced);
     for (KeyState* ks : scratch.changed) ks->cv.notify_all();
   }
-  // (The group-commit release hook lives with the committer, not here:
+  // (The WAL's release report lives with the committer, not here:
   // Transaction's top-level commit calls WriteAheadLog::
   // NoteCommitReleased(ticket) after OnCommit returns, because only the
   // committer knows which WAL seq this release retires.)
@@ -1225,8 +1225,9 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
   // only after our release stores, so its record seq is strictly greater
   // (the per-key ordering invariant of core/wal.h). Append failure backs
   // out exactly like a validation failure (pre-lock words restored,
-  // nothing installed) but surfaces as IoError and is NOT a validation
-  // abort: the commit was serializable, the log was not writable.
+  // nothing installed) but surfaces as the append's status (IoError, or
+  // InvalidArgument for an oversize image) and is NOT a validation
+  // abort: the commit was serializable, the log could not take it.
   if (wal_ != nullptr && wal_ticket != nullptr && !writes.empty()) {
     Result<WalTicket> t = wal_->AppendImage(wal_shard_hint, writes,
                                             /*release_follows=*/true);
@@ -1250,10 +1251,9 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
         RefreshValueCache(ks, writes[i].value, BumpSeq(locked[i].pre));
     ks.hot.word.store(nw, std::memory_order_release);
   }
-  // The install stores ARE this commit's release fan-out: tell any flush
-  // leader holding a group open that this committer is done, and retire
-  // the seq from its shard's unreleased set (checkpoint truncation
-  // floor — see WriteAheadLog::Checkpoint).
+  // The install stores ARE this commit's release fan-out: retire the seq
+  // from its shard's unreleased set (checkpoint truncation floor — see
+  // WriteAheadLog::Checkpoint).
   if (wal_ != nullptr && wal_ticket != nullptr && wal_ticket->seq != 0) {
     wal_->NoteCommitReleased(*wal_ticket);
   }

@@ -355,7 +355,8 @@ class LockManager {
   /// words are still MICRO-locked, so record seq order is per-key commit
   /// order (core/wal.h) — and the ticket to WaitDurable on is returned
   /// through `wal_ticket`. An append failure restores the pre-lock words
-  /// (nothing installed) and returns Status::IoError, NOT counted as a
+  /// (nothing installed) and returns the append's status (IoError, or
+  /// InvalidArgument for an oversize image), NOT counted as a
   /// validation abort. `wal_shard_hint` is the top-level begin ordinal.
   Status OccCommit(const std::vector<OccWriteEntry>& writes,
                    const std::vector<OccReadEntry>& reads,
@@ -451,7 +452,7 @@ class LockManager {
   /// Attach the engine's WAL (TransactionManager does this at
   /// construction; null = no durability). OccCommit then appends the
   /// commit image while the write set is still locked and reports its
-  /// release (install stores) to the group-commit leader via
+  /// release (install stores) to the checkpoint truncation floor via
   /// WriteAheadLog::NoteCommitReleased(ticket); the locking path's
   /// release report lives with the committer in Transaction::Commit.
   /// The WAL must outlive the lock manager.

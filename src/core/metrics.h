@@ -152,11 +152,17 @@ ThreadWaitCounters& ThreadWaitAccounting();
 /// lock table respectively).
 class MetricsRegistry {
  public:
+  /// Hot keys (by cumulative wait-ns) the exports report.
+  static constexpr uint32_t kHotKeyTopK = 10;
+  /// Span ring capacity: older spans are overwritten once the ring
+  /// wraps; SpanLog::total_recorded() minus the ring size tells an
+  /// exporter how many were dropped.
+  static constexpr uint32_t kSpanRingCapacity = 1024;
+
   explicit MetricsRegistry(const EngineOptions& options)
       : enabled_(options.metrics_enabled),
-        hot_key_top_k_(options.hot_key_top_k),
         spans_(options.metrics_enabled ? options.span_sample_one_in : 0,
-               options.span_ring_capacity) {}
+               kSpanRingCapacity) {}
 
   bool enabled() const { return enabled_; }
 
@@ -170,8 +176,6 @@ class MetricsRegistry {
 
   SpanLog& spans() { return spans_; }
   const SpanLog& spans() const { return spans_; }
-
-  uint32_t hot_key_top_k() const { return hot_key_top_k_; }
 
   /// Prometheus text exposition: every EngineStats counter (generated
   /// from the X-macro, so none can be missing), every histogram
@@ -190,7 +194,6 @@ class MetricsRegistry {
 
  private:
   const bool enabled_;
-  const uint32_t hot_key_top_k_;
   LatencyHistogram histograms_[kHistNumHistograms];
   SpanLog spans_;
 };

@@ -118,13 +118,6 @@ struct EngineOptions {
   /// span collection entirely; 1 samples every transaction. Sampling
   /// bounds both the per-txn stamping cost and the ring's churn.
   uint32_t span_sample_one_in = 0;
-  /// Capacity of the span ring (bounded memory: older spans are
-  /// overwritten once the ring wraps; SpanLog::total_recorded() minus
-  /// the ring size tells an exporter how many were dropped).
-  uint32_t span_ring_capacity = 1024;
-  /// How many hot keys (by cumulative wait-ns) the contention profiler
-  /// reports from ExportText()/ExportJson().
-  uint32_t hot_key_top_k = 10;
   /// Per-key atomic lock word (see DESIGN.md §5): uncontended grants,
   /// read-read sharing and same-holder repeat accesses resolve with one
   /// CAS (or one load) instead of the key mutex, escalating to the mutex
@@ -149,13 +142,6 @@ struct EngineOptions {
   /// ordinal; more shards mean more fsync streams but less append
   /// contention.
   uint32_t wal_shards = 4;
-  /// Group-commit window: a flush leader waits up to this long for
-  /// in-flight committers (appended, still releasing locks) to join the
-  /// group before it cuts the batch. 0 flushes immediately — every
-  /// durable commit then pays its own fsync unless one was already in
-  /// flight. The window is an upper bound: the leader cuts early the
-  /// moment no committer is between append and release.
-  uint32_t wal_group_commit_us = 200;
   /// How the flusher makes a cut group durable (see WalFsyncMode).
   WalFsyncMode wal_fsync_mode = WalFsyncMode::kFdatasync;
   /// Automatic checkpointing: when > 0, a flush leader that has appended
@@ -165,16 +151,6 @@ struct EngineOptions {
   /// DESIGN.md §6). 0 (the default) means checkpoints happen only when
   /// Database::Checkpoint() is called explicitly.
   uint64_t wal_checkpoint_every_bytes = 0;
-  /// Adaptive group commit: the flush leader derives its hold time from
-  /// an EWMA of observed fsync latency instead of always sleeping the
-  /// full window — a fast device stops over-holding groups, a slow one
-  /// still amortizes. `wal_group_commit_us` stays the hard upper bound.
-  bool wal_adaptive_group_commit = false;
-  /// Recovery parallelism: number of threads scanning shard files
-  /// (CRC + decode) during Recover, capped at the shard count. 0 means
-  /// one thread per shard up to the hardware concurrency. Replay itself
-  /// stays a single seq-ordered merge pass regardless.
-  uint32_t wal_recovery_threads = 0;
 };
 
 }  // namespace nestedtx

@@ -107,7 +107,7 @@ namespace nestedtx {
   X(kStatWalCutSpinClears, wal_cut_spin_clears)                           \
   /* sent to the locked fallback (ride or run that shard's flush) */      \
   X(kStatWalCutLockedChecks, wal_cut_locked_checks)                       \
-  /* own-shard riders that parked on the shard cv after spinning */       \
+  /* own-shard riders that parked on the shard cv (spun first or not) */  \
   X(kStatWalRiderParks, wal_rider_parks)
 
 /// Counter identifiers (indices into a stripe).

@@ -582,11 +582,10 @@ Status Transaction::Commit() {
     // Top-level commit: everything becomes the committed base.
     const std::vector<LockManager::KeyHold> keys = TakeKeys();
     manager_->locks().OnCommit(id_, TransactionId::Root(), keys);
-    // The release fan-out is done: tell any flush leader holding a
-    // group open that this committer no longer blocks the cut, and
-    // retire the seq from its shard's unreleased set (the checkpoint
-    // truncation floor — a checkpoint's fuzzy scan may miss installs
-    // of unreleased commits, so their log records must survive it).
+    // The release fan-out is done: retire the seq from its shard's
+    // unreleased set (the checkpoint truncation floor — a checkpoint's
+    // fuzzy scan may miss installs of unreleased commits, so their log
+    // records must survive it).
     if (wal_ticket.seq != 0) wal->NoteCommitReleased(wal_ticket);
     // Park until the record — and, across shards, everything it may
     // depend on — is flushed. A flush failure surfaces as

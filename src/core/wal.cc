@@ -5,10 +5,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <unordered_map>
 
@@ -36,11 +36,12 @@ constexpr uint32_t kSnapBatch = 512;
 // truncate. (A single giant write() would usually land atomically on a
 // local fs and starve the crash tests of torn tails.)
 constexpr size_t kWriteChunk = 4096;
-// Sanity bound on a decoded record length: recovery treats anything
-// larger as a torn/corrupt tail rather than attempting the allocation.
+// Bound on a frame's payload length: recovery treats anything larger as
+// a torn/corrupt tail rather than attempting the allocation, so appends
+// and snapshot writes never produce one.
 constexpr uint32_t kMaxRecordLen = 64u << 20;
-// Read window of the checkpoint's log walk and rotation copy: the
-// checkpoint never holds more of a shard file than this in memory.
+// Read window of the log walk (checkpoint fix-up and Recover) and the
+// rotation copy: neither holds more of a shard file than this in memory.
 constexpr size_t kWalkChunk = size_t{1} << 20;
 // How long an ack spins on another thread's flush before it parks:
 // riding the group its own shard is writing, and waiting on another
@@ -124,11 +125,10 @@ Status Errno(const char* op, const std::string& path) {
 }
 
 // One decoded commit record (recovery and checkpoint fix-up). Carries
-// where its frame starts in which shard file so the consistent cut can
+// where its frame starts in its shard file so the consistent cut can
 // truncate records above the first global seq gap.
 struct RecoveredRecord {
   uint64_t seq = 0;
-  uint32_t shard = 0;
   size_t frame_start = 0;
   std::vector<WalWrite> writes;
 };
@@ -175,36 +175,6 @@ bool DecodeRecord(const char* payload, uint32_t len, RecoveredRecord* rec) {
     rec->writes.push_back(std::move(w));
   }
   return p == len;
-}
-
-// Scan one shard file image, appending every well-framed record to
-// `out` (in file order, which is seq-ascending — a violation of that
-// invariant is treated as corruption). Returns the offset of the first
-// framing violation: the torn-tail boundary. A missing or short magic
-// means the whole file is torn (offset 0).
-size_t ScanShardImage(const std::string& data, uint32_t shard_index,
-                      std::vector<RecoveredRecord>* out) {
-  if (data.size() < kMagicLen ||
-      std::memcmp(data.data(), kMagic, kMagicLen) != 0) {
-    return 0;
-  }
-  size_t pos = kMagicLen;
-  uint64_t prev_seq = 0;
-  for (;;) {
-    const uint32_t len = FrameLen(data.data() + pos, data.size() - pos);
-    if (len == 0) break;
-    RecoveredRecord rec;
-    rec.shard = shard_index;
-    rec.frame_start = pos;
-    if (!DecodeRecord(data.data() + pos + 8, len, &rec) ||
-        rec.seq <= prev_seq) {  // file must be seq-ascending
-      break;
-    }
-    prev_seq = rec.seq;
-    out->push_back(std::move(rec));
-    pos += 8 + len;
-  }
-  return pos;
 }
 
 // pread exactly `n` bytes at `off` into `buf`, short only at EOF
@@ -259,7 +229,7 @@ Status CopyRange(int from, const std::string& from_path, size_t begin,
 }
 
 // A bounded read window over the first `end` bytes of a shard file: the
-// checkpoint walks a log through it without materializing the file.
+// log walk reads a file through it without materializing it.
 class FileWindow {
  public:
   FileWindow(int fd, const std::string& path, size_t end)
@@ -289,13 +259,14 @@ class FileWindow {
   std::string buf_;
 };
 
-// The checkpoint's walk over the first `size` bytes of one shard file
-// (stable: see Checkpoint step 5). CRC-checks every frame up to the
-// first record above `cut`, decodes only the records in
-// (replay_floor, cut] into `out`, and returns where rotation keeps
-// from: the frame of the first record above `trunc_floor` (<= cut),
-// else the end of the well-framed region (0 when the magic is missing,
-// which leaves the file whole).
+// The one reader of the log format: a walk over the first `size` bytes
+// of a shard file (stable: the checkpoint and Recover both hold
+// checkpoint_mutex_). CRC- and order-checks every frame up to the first
+// record above `cut`, decodes only the records in (replay_floor, cut]
+// into `out`, and returns the frame of the first record above
+// `trunc_floor` (<= cut), else the end of the well-framed region: the
+// torn-tail boundary, 0 when the magic is missing. The checkpoint keeps
+// its file from there; Recover passes no cut and no truncation floor.
 Result<size_t> WalkShardFile(int fd, const std::string& path, size_t size,
                              uint64_t replay_floor, uint64_t cut,
                              uint64_t trunc_floor,
@@ -327,6 +298,7 @@ Result<size_t> WalkShardFile(int fd, const std::string& path, size_t size,
     if (seq > cut) break;
     if (seq > replay_floor) {
       RecoveredRecord rec;
+      rec.frame_start = pos;
       if (!DecodeRecord(*frame + 8, len, &rec)) break;
       out->push_back(std::move(rec));
     }
@@ -437,6 +409,13 @@ Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kWalAppend));
   FailPoints::MaybeDelay(FailPoints::kWalAppend);
   if (!open_status_.ok()) return open_status_;
+  // Recovery reads a longer frame as a torn tail and drops every record
+  // above its seq gap, so refuse the image before it takes a seq.
+  if (body.size() + 8 > kMaxRecordLen) {
+    return Status::InvalidArgument(
+        StrCat("commit image of ", body.size(),
+               " bytes exceeds the log's record bound of ", kMaxRecordLen));
+  }
   Shard& sh = *shards_[shard_hint % shards_.size()];
   WalTicket ticket;
   {
@@ -479,47 +458,21 @@ Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
       stats_->Add(kStatWalBytes, added);
     }
   }
-  if (release_follows) {
-    release_pending_.fetch_add(1, std::memory_order_release);
-  }
   return ticket;
 }
 
 void WriteAheadLog::NoteCommitReleased(const WalTicket& ticket) {
   if (ticket.seq == 0) return;
-  {
-    // Un-pin the record from the checkpoint truncation floor: its
-    // effects are installed now, so a fuzzy checkpoint scan no longer
-    // needs the log copy to repair a missed install.
-    Shard& sh = *shards_[ticket.shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = std::find(sh.unreleased.begin(), sh.unreleased.end(),
-                        ticket.seq);
-    if (it != sh.unreleased.end()) {
-      *it = sh.unreleased.back();
-      sh.unreleased.pop_back();
-    }
-  }
-  // Clamped decrement: a defensive CAS loop instead of fetch_sub keeps
-  // the count from wrapping if a note ever arrives unpaired (a spurious
-  // note can only cut a group early, never lose a record).
-  uint64_t cur = release_pending_.load(std::memory_order_relaxed);
-  while (cur != 0 && !release_pending_.compare_exchange_weak(
-                         cur, cur - 1, std::memory_order_seq_cst)) {
-  }
-  // Possibly the last straggler a flush leader is holding a group open
-  // for: kick every shard's cv so leaders re-check — but only while a
-  // leader is holding one. The seq_cst decrement above and this seq_cst
-  // load cannot both miss a leader's seq_cst count and re-check (see
-  // "Group commit" in wal.h). The empty lock section pins the notify
-  // against the leader's predicate check — without it, a leader between
-  // evaluating release_pending_ and parking in wait_for would miss the
-  // kick and sleep the whole group-commit window.
-  if (cur <= 1 && holding_leaders_.load(std::memory_order_seq_cst) != 0) {
-    for (auto& sh : shards_) {
-      { std::lock_guard<std::mutex> sync(sh->mu); }
-      sh->cv.notify_all();
-    }
+  // Un-pin the record from the checkpoint truncation floor: its effects
+  // are installed now, so a fuzzy checkpoint scan no longer needs the
+  // log copy to repair a missed install.
+  Shard& sh = *shards_[ticket.shard % shards_.size()];
+  std::lock_guard<std::mutex> lock(sh.mu);
+  auto it =
+      std::find(sh.unreleased.begin(), sh.unreleased.end(), ticket.seq);
+  if (it != sh.unreleased.end()) {
+    *it = sh.unreleased.back();
+    sh.unreleased.pop_back();
   }
 }
 
@@ -534,8 +487,10 @@ Status WriteAheadLog::WriteAndSync(Shard& sh, const std::string& group) {
                ? fp
                : Status::IoError("failpoint-injected flush failure");
   }
-  FailPoints::MaybeDelay(FailPoints::kWalFsync);
+  // The injected delay models a slow device, so it counts as flush
+  // latency (and feeds the EWMA the waiters spin or park by).
   const uint64_t start_ns = MonotonicNowNs();
+  FailPoints::MaybeDelay(FailPoints::kWalFsync);
   size_t limit = group.size();
   bool torn = false;
   if (FailPoints::MaybeShortWrite(FailPoints::kWalFsync)) {
@@ -573,31 +528,14 @@ Status WriteAheadLog::WriteAndSync(Shard& sh, const std::string& group) {
   }
   const uint64_t elapsed = MonotonicNowNs() - start_ns;
   if (metrics_ != nullptr) metrics_->Record(kHistWalFsyncNs, elapsed);
-  // EWMA (alpha = 1/8) of flush latency, feeding the adaptive hold time
-  // and the waiters' spin-or-park choice. Racy read-modify-write across
-  // concurrent leaders is fine: the estimate is advisory.
+  // EWMA (alpha = 1/8) of flush latency, feeding the waiters'
+  // spin-or-park choice. Racy read-modify-write across concurrent
+  // leaders is fine: the estimate is advisory.
   const uint64_t cur = fsync_ewma_ns_.load(std::memory_order_relaxed);
   fsync_ewma_ns_.store(cur == 0 ? elapsed : cur - cur / 8 + elapsed / 8,
                        std::memory_order_relaxed);
   if (stats_ != nullptr) stats_->Add(kStatGroupCommitBatches);
   return Status::OK();
-}
-
-uint64_t WriteAheadLog::GroupHoldUs() const {
-  uint64_t hold = options_.wal_group_commit_us;
-  if (options_.wal_adaptive_group_commit) {
-    // Holding a group open longer than one flush costs more ack latency
-    // than the batching saves, so the observed flush latency is the
-    // natural hold ceiling; the configured window stays the upper bound
-    // (and the floor is 1us so a fast device still batches stragglers
-    // already past their append).
-    const uint64_t ewma_us =
-        fsync_ewma_ns_.load(std::memory_order_relaxed) / 1000;
-    if (ewma_us != 0) {
-      hold = std::min<uint64_t>(hold, std::max<uint64_t>(1, ewma_us));
-    }
-  }
-  return hold;
 }
 
 bool WriteAheadLog::FlushFitsSpin(uint64_t spin_ns) const {
@@ -657,6 +595,15 @@ Status WriteAheadLog::FlushLocked(Shard& sh,
   return s;
 }
 
+Status WriteAheadLog::LeadFlushLocked(Shard& sh,
+                                      std::unique_lock<std::mutex>& lk) {
+  sh.flushing.store(true, std::memory_order_relaxed);
+  const Status s = FlushLocked(sh, lk);
+  sh.flushing.store(false, std::memory_order_release);
+  sh.cv.notify_all();
+  return s;
+}
+
 Status WriteAheadLog::EnsureShardDurableThrough(Shard& sh,
                                                 uint64_t bound) {
   std::unique_lock<std::mutex> lk(sh.mu);
@@ -676,13 +623,10 @@ Status WriteAheadLog::EnsureShardDurableThrough(Shard& sh,
       continue;
     }
     // No leader on this shard and it holds records below our cut: flush
-    // it ourselves, immediately — everything we need is already
-    // buffered (seq assignment is atomic with buffering, and any append
-    // after ours gets a larger seq), so there is no group to hold open.
-    sh.flushing.store(true, std::memory_order_relaxed);
-    FlushLocked(sh, lk);  // failure parks in shard state; loop re-checks
-    sh.flushing.store(false, std::memory_order_release);
-    sh.cv.notify_all();
+    // it ourselves — everything we need is already buffered (seq
+    // assignment is atomic with buffering, and any append after ours
+    // gets a larger seq). A failure parks in shard state; loop re-checks.
+    LeadFlushLocked(sh, lk);
   }
 }
 
@@ -723,29 +667,11 @@ Status WriteAheadLog::WaitDurable(const WalTicket& ticket) {
         own.cv.wait(lk);
         continue;
       }
-      // Become the flush leader. Hold the group open for committers
-      // that appended but are still fanning out their release (their
-      // records are already buffered or will be before they park here)
-      // — up to the window, cut early when nobody is in that gap.
-      own.flushing.store(true, std::memory_order_relaxed);
-      const uint64_t hold_us = GroupHoldUs();
-      if (hold_us > 0 &&
-          release_pending_.load(std::memory_order_acquire) != 0) {
-        // Counted before the predicate's first check (see "Group
-        // commit" in wal.h): NoteCommitReleased kicks only counted
-        // leaders.
-        holding_leaders_.fetch_add(1, std::memory_order_seq_cst);
-        own.cv.wait_for(
-            lk, std::chrono::microseconds(hold_us),
-            [&] {
-              return release_pending_.load(std::memory_order_seq_cst) ==
-                     0;
-            });
-        holding_leaders_.fetch_sub(1, std::memory_order_seq_cst);
-      }
-      FlushLocked(own, lk);  // failure parks in shard state; re-checked
-      own.flushing.store(false, std::memory_order_release);
-      own.cv.notify_all();
+      // Become the flush leader and write at once: the group is
+      // everything buffered so far, and whatever is appended while the
+      // write is in flight forms the next one. A failure parks in shard
+      // state; the loop re-checks.
+      LeadFlushLocked(own, lk);
     }
   }
   // Own shard durable through our seq; now close the cross-shard cut:
@@ -795,10 +721,7 @@ Status WriteAheadLog::FlushAll() {
       if (first.ok()) first = sh.broken_status;
       continue;
     }
-    sh.flushing.store(true, std::memory_order_relaxed);
-    const Status s = FlushLocked(sh, lk);
-    sh.flushing.store(false, std::memory_order_release);
-    sh.cv.notify_all();
+    const Status s = LeadFlushLocked(sh, lk);
     if (!s.ok() && first.ok()) first = s;
   }
   return first;
@@ -1153,7 +1076,10 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
 
   // 6. Snapshot to disk, CRC-framed, tmp + fsync + rename. A failure
   // here (including the injected torn write) aborts the checkpoint
-  // with the log untouched — durability never regresses.
+  // with the log untouched — durability never regresses. An entry frame
+  // holds up to kSnapBatch entries and is cut early rather than cross
+  // the kMaxRecordLen that LoadSnapshot enforces; an entry no frame can
+  // hold fails the checkpoint before anything is written.
   std::string snap(kSnapMagic, kMagicLen);
   const auto append_frame = [&snap](const std::string& payload) {
     AppendU32(&snap, static_cast<uint32_t>(payload.size()));
@@ -1170,25 +1096,30 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
     std::string batch;
     uint32_t count = 0;
     std::string payload;
-    for (const auto& [key, value] : image) {
-      AppendU32(&batch, static_cast<uint32_t>(key.size()));
-      batch.append(key);
-      AppendU64(&batch, static_cast<uint64_t>(value));
-      if (++count == kSnapBatch) {
-        payload.clear();
-        AppendU32(&payload, count);
-        payload.append(batch);
-        append_frame(payload);
-        batch.clear();
-        count = 0;
-      }
-    }
-    if (count != 0) {
+    const auto append_batch = [&] {
       payload.clear();
       AppendU32(&payload, count);
       payload.append(batch);
       append_frame(payload);
+      batch.clear();
+      count = 0;
+    };
+    for (const auto& [key, value] : image) {
+      const size_t entry_len = 4 + key.size() + 8;
+      if (4 + entry_len > kMaxRecordLen) {
+        return Status::InvalidArgument(
+            StrCat("a key of ", key.size(),
+                   " bytes does not fit a snapshot frame"));
+      }
+      if (count != 0 && 4 + batch.size() + entry_len > kMaxRecordLen) {
+        append_batch();
+      }
+      AppendU32(&batch, static_cast<uint32_t>(key.size()));
+      batch.append(key);
+      AppendU64(&batch, static_cast<uint64_t>(value));
+      if (++count == kSnapBatch) append_batch();
     }
+    if (count != 0) append_batch();
     std::string footer;
     AppendU64(&footer, kSnapFooterMagic);
     append_frame(footer);
@@ -1296,9 +1227,11 @@ Status WriteAheadLog::Recover(
           "to recover silently"));
     }
   }
-  // Per-shard file scan (CRC + decode — the CPU-bound part), fanned out
-  // over wal_recovery_threads. Truncation is deferred until the
-  // consistent cut is known, because records above the cut must go too.
+  // Per-shard file walk (CRC + decode — the CPU-bound part), one scanner
+  // thread per shard up to the hardware threads. Records the snapshot
+  // covers are CRC- and order-checked but not decoded. Truncation is
+  // deferred until the consistent cut is known, because records above
+  // the cut must go too.
   const uint32_t nshards = static_cast<uint32_t>(shards_.size());
   std::vector<std::vector<RecoveredRecord>> shard_records(nshards);
   std::vector<size_t> shard_size(nshards, 0);
@@ -1307,22 +1240,28 @@ Status WriteAheadLog::Recover(
   const auto scan_one = [&](uint32_t si) {
     Shard& sh = *shards_[si];
     std::lock_guard<std::mutex> lock(sh.mu);
-    std::string data;
-    const Status s = ReadWholeFile(sh.fd, sh.path, &data);
-    if (!s.ok()) {
-      shard_status[si] = s;
+    const off_t end = ::lseek(sh.fd, 0, SEEK_END);
+    if (end < 0) {
+      shard_status[si] = Errno("lseek", sh.path);
       return;
     }
-    shard_size[si] = data.size();
+    shard_size[si] = static_cast<size_t>(end);
     // Anything from the first framing violation on is the torn tail: a
     // crashed process tears only a suffix (records enter the buffer
     // whole and the buffer is written front to back).
-    shard_valid[si] = ScanShardImage(data, si, &shard_records[si]);
+    constexpr uint64_t kNoBound = std::numeric_limits<uint64_t>::max();
+    Result<size_t> valid =
+        WalkShardFile(sh.fd, sh.path, shard_size[si], snap_cut,
+                      /*cut=*/kNoBound, /*trunc_floor=*/kNoBound,
+                      &shard_records[si]);
+    if (!valid.ok()) {
+      shard_status[si] = valid.status();
+      return;
+    }
+    shard_valid[si] = *valid;
   };
-  uint32_t nthreads = options_.wal_recovery_threads != 0
-                          ? options_.wal_recovery_threads
-                          : std::max(1u, std::thread::hardware_concurrency());
-  nthreads = std::min(nthreads, nshards);
+  const uint32_t nthreads = std::min(
+      nshards, std::max(1u, std::thread::hardware_concurrency()));
   if (nthreads <= 1) {
     for (uint32_t si = 0; si < nshards; ++si) scan_one(si);
   } else {
@@ -1348,16 +1287,10 @@ Status WriteAheadLog::Recover(
   // the first gap — on any shard — may depend on the lost commit and
   // is dropped (WaitDurable never acked it: an ack at seq S waits for
   // every shard through S). Replay is a k-way merge of the per-shard
-  // runs (each file is seq-ascending): records <= the snapshot cut are
-  // already in the snapshot and are skipped, the rest apply in global
-  // seq order (last-writer-wins reconstructs every committed value).
+  // runs (each seq-ascending, holding only records above the snapshot
+  // cut), applied in global seq order (last-writer-wins reconstructs
+  // every committed value).
   std::vector<size_t> idx(nshards, 0);
-  for (uint32_t si = 0; si < nshards; ++si) {
-    while (idx[si] < shard_records[si].size() &&
-           shard_records[si][idx[si]].seq <= snap_cut) {
-      ++idx[si];
-    }
-  }
   uint64_t cut = snap_cut;
   uint64_t replayed = 0;
   const bool recover_armed = FailPoints::Armed(FailPoints::kWalRecover);

@@ -17,31 +17,18 @@
 // ascending record sequence number IS per-key commit order, and
 // last-writer-wins replay reconstructs exactly the committed store.
 //
-// Group commit rides the engine's commit fan-out: Append() runs before
-// the two-phase ReleaseBatch, WaitDurable() after it. A parked waiter
-// becomes the shard's flush leader and holds the group open for up to
-// `wal_group_commit_us`, cutting early the moment no committer in the
-// whole engine sits between append and release (the commit path reports
-// back through NoteCommitReleased once its install and release fan-out
-// finish). One write+sync then covers every record that joined — the
-// release fan-out itself is the batching window, no dedicated flusher
-// thread needed. With wal_adaptive_group_commit the leader tightens the
-// window to the observed fsync-latency EWMA: holding a group longer
-// than one fsync costs more latency than the batching saves. A release
-// kicks the shards' condition variables only while some leader is
-// actually holding a group open: the leader bumps `holding_leaders_`
-// before it re-checks `release_pending_` under its shard mutex, and a
-// releaser decrements `release_pending_` before it loads
-// `holding_leaders_`, all four operations seq_cst. In their total order
-// either the releaser sees the leader counted (and kicks it, through
-// the shard mutex, so the kick cannot fall between the leader's check
-// and its park) or the leader's check sees the decrement (and never
-// parks for it). A rider whose record is in the group being written
-// spins briefly on the shard's atomic `flushed_seq`/`flushing` mirror
-// before it parks on the condition variable: in `none` mode a flush is
-// one microsecond-long write(), while a condition-variable round trip
-// costs tens of microseconds. When the flush-latency EWMA exceeds the
-// spin bound (the fsync modes) it parks at once.
+// Group commit needs no window and no flusher thread. Append() runs
+// before the two-phase ReleaseBatch, WaitDurable() after it. A waiter
+// whose record is not yet durable and that finds no flush in flight on
+// its shard becomes the flush leader and writes at once; records
+// appended while that write+sync is in flight are cut as one group by
+// the next leader, so the write itself is the batching window. A waiter
+// that finds a flush in flight spins briefly on the shard's atomic
+// `flushed_seq`/`flushing` mirror before it parks on the condition
+// variable: in `none` mode a flush is one microsecond-long write(),
+// while a condition-variable round trip costs tens of microseconds.
+// When the flush-latency EWMA exceeds the spin bound (the fsync modes)
+// it parks at once.
 //
 // Cross-shard consistent cut (what makes an ack safe with >1 shard): a
 // commit's effects install before WaitDurable, so a later commit on
@@ -117,9 +104,11 @@
 //
 // Recovery with a snapshot: load the newest manifest generation (CRC
 // failure falls back to the previous one), apply the snapshot, then
-// replay only records with seq > C0 — shard files are parsed by
-// parallel per-shard threads (CRC + decode dominate) and fed through a
-// seq-ordered merge. A gap at or below a manifest cut means the log
+// replay only records with seq > C0. Shard files are read through the
+// same bounded walk the checkpoint fix-up uses, one scanner thread per
+// shard up to the hardware threads (CRC + decode dominate): records <=
+// C0 are CRC- and order-checked but not decoded, the rest feed a k-way
+// seq merge. A gap at or below a manifest cut means the log
 // prefix was truncated against a snapshot we failed to read; that is
 // unrecoverable corruption and Recover refuses with IoError rather
 // than silently dropping acked commits.
@@ -208,11 +197,11 @@ class WriteAheadLog {
   /// called while the commit still holds its write locks (see the
   /// ordering invariant above). With `release_follows` the committer
   /// promises a NoteCommitReleased(ticket) will follow once its install
-  /// and release fan-out finish; flush leaders hold groups open for
-  /// such committers, and checkpoints never truncate their records.
-  /// Returns the ticket to later WaitDurable on, or IoError when the
-  /// shard is broken — at which point nothing was installed and the
-  /// caller can abort cleanly.
+  /// and release fan-out finish; checkpoints never truncate such a
+  /// record before then. Returns the ticket to later WaitDurable on,
+  /// IoError when the shard is broken, or InvalidArgument when the
+  /// record would exceed the length recovery reads back — in both cases
+  /// nothing was installed and the caller can abort cleanly.
   template <typename Vec>
   Result<WalTicket> AppendImage(uint64_t shard_hint, const Vec& writes,
                                 bool release_follows = true) {
@@ -232,9 +221,9 @@ class WriteAheadLog {
 
   /// Block until the ticket's record — and, with multiple shards, every
   /// record with a smaller seq on ANY shard — is durable per the fsync
-  /// mode (the cross-shard consistent cut above). The first waiter on an
-  /// unflushed shard becomes its flush leader; everyone else rides the
-  /// batch. Another shard costs one load of its pending floor when
+  /// mode (the cross-shard consistent cut above). A waiter that finds no
+  /// flush in flight leads one at once; everyone else rides it or joins
+  /// the next group. Another shard costs one load of its pending floor when
   /// nothing <= the ticket's seq is pending there, and its mutex only
   /// when something still is after a brief spin. Returns
   /// kDurabilityLost (never plain IoError) when a broken shard makes the
@@ -243,8 +232,7 @@ class WriteAheadLog {
   Status WaitDurable(const WalTicket& ticket);
 
   /// The committer that appended `ticket` has now installed its effects
-  /// and finished releasing its locks: a flush leader no longer needs
-  /// to hold the group open for it, and a checkpoint may truncate its
+  /// and finished releasing its locks: a checkpoint may truncate its
   /// record once durable. Never blocks. Call exactly once per appended
   /// ticket with release_follows (tickets with seq == 0 are ignored).
   void NoteCommitReleased(const WalTicket& ticket);
@@ -364,6 +352,10 @@ class WriteAheadLog {
   /// Cut and write the shard's buffered group. Called with `lk` held and
   /// sh.flushing set by the caller; drops the lock for the IO itself.
   Status FlushLocked(Shard& sh, std::unique_lock<std::mutex>& lk);
+  /// Lead one flush of `sh`: set `flushing`, FlushLocked, clear it and
+  /// wake the riders. Called with `lk` held and no flush in flight. A
+  /// failure is also left in the shard's broken state.
+  Status LeadFlushLocked(Shard& sh, std::unique_lock<std::mutex>& lk);
   /// Locked fallback of the cross-shard cut: block until every record
   /// of `sh` with seq <= bound is durable, flushing the shard ourselves
   /// if no leader is on it. kDurabilityLost if the shard broke losing
@@ -379,10 +371,6 @@ class WriteAheadLog {
   /// The unlocked write+sync of one cut group (failpoint injection,
   /// chunked writes, fsync mode, stats/metrics).
   Status WriteAndSync(Shard& sh, const std::string& group);
-  /// The leader's group-commit hold time in microseconds: the
-  /// configured window, tightened by the fsync-latency EWMA when
-  /// wal_adaptive_group_commit is on.
-  uint64_t GroupHoldUs() const;
   /// Write `data` to `path` atomically: tmp file, full write, fsync
   /// (unless kNone), rename over `path`, directory fsync. With
   /// `inject_short_write` the kWalCheckpoint torn-snapshot failpoint
@@ -419,17 +407,10 @@ class WriteAheadLog {
   /// drops a record that a surviving later record depends on), with a
   /// seq_cst fetch_add (the cross-shard cut's ordering argument).
   std::atomic<uint64_t> next_seq_{0};
-  /// Committers that appended and have not yet finished their release
-  /// fan-out — the group-commit leader's "someone is still coming".
-  std::atomic<uint64_t> release_pending_{0};
-  /// Flush leaders currently holding a group open for release_pending_
-  /// to drain: NoteCommitReleased kicks the shards only while nonzero.
-  std::atomic<uint32_t> holding_leaders_{0};
   /// Set by the first append; Recover requires it clear.
   std::atomic<bool> appended_{false};
-  /// EWMA of observed flush latency (ns), fed by WriteAndSync; the
-  /// adaptive group-commit leader derives its hold time from it, and
-  /// waiters decide from it whether to spin or park.
+  /// EWMA of observed flush latency (ns), fed by WriteAndSync; waiters
+  /// decide from it whether to spin or park.
   std::atomic<uint64_t> fsync_ewma_ns_{0};
   /// Log bytes appended since the last completed checkpoint — the
   /// automatic-trigger odometer.

@@ -61,7 +61,6 @@ EngineOptions StormOptions(const std::string& dir, CcProtocol protocol,
   o.wal_enabled = true;
   o.wal_dir = dir;
   o.wal_shards = 2;
-  o.wal_group_commit_us = 200;
   o.wal_fsync_mode = WalFsyncMode::kFdatasync;
   // The checkpoint storm keeps compactions in flight the whole time, so
   // the SIGKILL lands inside snapshot writes, between the manifest

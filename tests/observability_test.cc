@@ -643,7 +643,6 @@ TEST(DatabaseObservabilityTest, WalCountersAndFsyncHistogramExport) {
     EngineOptions options;
     options.wal_enabled = true;
     options.wal_dir = dir;
-    options.wal_group_commit_us = 0;
     Database db(options);
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(db.RunTransaction(1, [i](Transaction& t) {
@@ -653,7 +652,7 @@ TEST(DatabaseObservabilityTest, WalCountersAndFsyncHistogramExport) {
     const auto snap = db.stats().Snapshot();
     EXPECT_EQ(snap.wal_appends, 3u);
     EXPECT_GT(snap.wal_bytes, 0u);
-    EXPECT_GE(snap.wal_fsyncs, 3u);  // window 0: one sync per commit
+    EXPECT_GE(snap.wal_fsyncs, 3u);  // sequential: one sync per commit
     EXPECT_GE(snap.group_commit_batches, 3u);
     EXPECT_GE(db.metrics().SnapshotHistogram(kHistWalFsyncNs).count, 3u);
 

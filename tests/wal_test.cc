@@ -64,7 +64,6 @@ EngineOptions WalOptions(const std::string& dir,
   o.wal_enabled = true;
   o.wal_dir = dir;
   o.wal_shards = 2;
-  o.wal_group_commit_us = 0;  // flush immediately unless a test batches
   return o;
 }
 
@@ -108,7 +107,7 @@ TEST(WalTest, RoundTripAcrossRestart) {
   Database db2(WalOptions(dir.path));
   // Destroy-order note: db is still alive here holding the same files,
   // but recovery only reads; db's destructor flushed nothing new since
-  // the commit already flushed (window 0).
+  // the commit's ack already waited for its flush.
   ASSERT_TRUE(db2.Recover().ok());
   EXPECT_EQ(Committed(db2, "a"), std::optional<int64_t>(11));
   EXPECT_EQ(Committed(db2, "post"), std::optional<int64_t>(7));
@@ -146,16 +145,15 @@ TEST(WalTest, PreloadIsDurable) {
   EXPECT_EQ(Committed(db, "seeded"), std::optional<int64_t>(42));
 }
 
-// Concurrent committers ride each other's flushes: with a group-commit
-// window open, the number of cut groups stays at or below the number of
-// appended records, and everything committed is recovered.
+// Concurrent committers ride each other's flushes: the number of cut
+// groups stays at or below the number of appended records, and
+// everything committed is recovered.
 TEST(WalTest, GroupCommitBatchesConcurrentCommitters) {
   TempDir dir;
   constexpr int kThreads = 4;
   constexpr int kTxns = 8;
   {
-    EngineOptions o = WalOptions(dir.path);
-    o.wal_group_commit_us = 200;
+    const EngineOptions o = WalOptions(dir.path);
     Database db(o);
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
@@ -185,6 +183,56 @@ TEST(WalTest, GroupCommitBatchesConcurrentCommitters) {
     for (int i = 0; i < kTxns; ++i) {
       EXPECT_EQ(Committed(db, StrCat("k", t, ".", i)),
                 std::optional<int64_t>(t * 100 + i));
+    }
+  }
+}
+
+// Group commit needs no window: with one shard and every flush slowed
+// to 2 ms, committers that append while a write is in flight find the
+// flush running and park at once (the flush-latency EWMA, which counts
+// the injected delay, exceeds the ride spin), and the next leader cuts
+// their records as one group. So there are fewer groups than appends,
+// and every acked commit survives a restart.
+TEST(WalTest, RidersJoinTheFlushInFlightWithoutAWindow) {
+  TempDir dir;
+  ScopedFailPoints guard;
+  EngineOptions o = WalOptions(dir.path);
+  o.wal_shards = 1;
+  o.wal_fsync_mode = WalFsyncMode::kNone;
+  constexpr int kThreads = 4;
+  constexpr int kTxns = 6;
+  {
+    Database db(o);
+    FailPoints::Config cfg;
+    cfg.delay_one_in = 1;
+    cfg.delay_us = 2000;
+    FailPoints::Enable(FailPoints::kWalFsync, cfg);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&db, t] {
+        for (int i = 0; i < kTxns; ++i) {
+          const std::string key = StrCat("r", t, ".", i);
+          ASSERT_TRUE(db.RunTransaction(5, [&](Transaction& txn) {
+                          return txn.Put(key, t * 10 + i);
+                        }).ok());
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    FailPoints::DisableAll();
+    const auto snap = db.stats().Snapshot();
+    EXPECT_EQ(snap.wal_appends, uint64_t{kThreads * kTxns});
+    EXPECT_LT(snap.group_commit_batches, snap.wal_appends);
+    EXPECT_GT(snap.wal_rider_parks, 0u);
+  }
+  Database db(o);
+  ASSERT_TRUE(db.Recover().ok());
+  EXPECT_EQ(db.stats().Snapshot().wal_recovery_replayed,
+            uint64_t{kThreads * kTxns});
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kTxns; ++i) {
+      EXPECT_EQ(Committed(db, StrCat("r", t, ".", i)),
+                std::optional<int64_t>(t * 10 + i));
     }
   }
 }
@@ -463,7 +511,7 @@ TEST(WalTest, AllFsyncModesRoundTrip) {
 // cross-shard consistent cut).
 TEST(WalTest, CrossShardConsistentCutDropsRecordsAboveAGap) {
   TempDir dir;
-  const EngineOptions o = WalOptions(dir.path);  // 2 shards, window 0
+  const EngineOptions o = WalOptions(dir.path);  // 2 shards
   {
     Database db(o);
     // The top-level begin ordinal picks the shard: txn0/txn2 land on
@@ -540,7 +588,7 @@ TEST(WalTest, BrokenShardPoisonsLaterAcksOnHealthyShards) {
 // flushes shard 1 itself before it returns.
 TEST(WalTest, AckWaitsForEarlierSeqOnAnotherShard) {
   TempDir dir;
-  EngineOptions o = WalOptions(dir.path);  // 2 shards, window 0
+  EngineOptions o = WalOptions(dir.path);  // 2 shards
   o.wal_fsync_mode = WalFsyncMode::kNone;
   EngineStats stats;
   WriteAheadLog wal(o, &stats, nullptr);
@@ -658,6 +706,41 @@ TEST(WalTest, AbsurdWriteCountIsATornTailNotAnAllocation) {
   EXPECT_EQ(db.stats().Snapshot().wal_recovery_truncated, 20u);
 }
 
+// Recovery reads a frame longer than its 64 MiB bound as a torn tail,
+// and at that seq gap drops every later record on every shard. So an
+// image that large is refused before it takes a seq: the commit aborts
+// cleanly with InvalidArgument, is not retried, and a later acked
+// commit survives a restart with nothing truncated.
+TEST(WalTest, OversizeImageIsRefusedBeforeInstall) {
+  const std::string huge(size_t{64} << 20, 'x');
+  for (const CcProtocol protocol : {CcProtocol::kDetect, CcProtocol::kOcc}) {
+    SCOPED_TRACE(protocol == CcProtocol::kOcc ? "occ" : "detect");
+    TempDir dir;
+    EngineOptions o = WalOptions(dir.path, protocol);
+    o.wal_shards = 1;
+    o.wal_fsync_mode = WalFsyncMode::kNone;
+    {
+      Database db(o);
+      int attempts = 0;
+      const Status s = db.RunTransaction(5, [&](Transaction& t) {
+        ++attempts;
+        return t.Put(huge, 1);
+      });
+      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_EQ(attempts, 1);
+      EXPECT_EQ(Committed(db, huge), std::nullopt);
+      EXPECT_EQ(db.stats().Snapshot().wal_appends, 0u);
+      ASSERT_TRUE(db.RunTransaction(1, [](Transaction& t) {
+                      return t.Put("after", 2);
+                    }).ok());
+    }
+    Database db(o);
+    ASSERT_TRUE(db.Recover().ok());
+    EXPECT_EQ(Committed(db, "after"), std::optional<int64_t>(2));
+    EXPECT_EQ(db.stats().Snapshot().wal_recovery_truncated, 0u);
+  }
+}
+
 // Recover-then-Preload is the documented setup order on a WAL-enabled
 // database, and a preload is flushed immediately — it survives a crash
 // right after setup, not just a clean shutdown.
@@ -727,7 +810,7 @@ size_t CountSnapshotFiles(const std::string& dir) {
 // checkpoint with nothing new is a skip, not a new generation.
 TEST(WalTest, CheckpointTruncatesWholePrefixAndRecoverySkipsReplay) {
   TempDir dir;
-  const EngineOptions o = WalOptions(dir.path);  // 2 shards, window 0
+  const EngineOptions o = WalOptions(dir.path);  // 2 shards
   {
     Database db(o);
     for (int i = 0; i < 6; ++i) {
@@ -973,6 +1056,36 @@ TEST(WalTest, CorruptManifestRefusesRecoveryButCheckpointRebuilds) {
   EXPECT_EQ(Committed(db, "rebuilt"), std::optional<int64_t>(2));
 }
 
+// Snapshot entry frames are cut by bytes as well as by count, so they
+// stay within the 64 MiB bound LoadSnapshot enforces: 512 keys of 128
+// KiB would overflow one 512-entry frame, and a snapshot recovery
+// refuses would strand a log whose prefix the checkpoint already
+// truncated. Every key comes back after a restart.
+TEST(WalTest, SnapshotFramesStayWithinTheReadBound) {
+  TempDir dir;
+  EngineOptions o = WalOptions(dir.path);
+  o.wal_fsync_mode = WalFsyncMode::kNone;
+  constexpr int kKeys = 512;
+  const auto key_for = [](int i) {
+    std::string key = StrCat(i, ":");
+    key.resize(size_t{128} << 10, 'k');
+    return key;
+  };
+  {
+    Database db(o);
+    for (int i = 0; i < kKeys; ++i) db.Preload(key_for(i), i);
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  Database db(o);
+  const Status s = db.Recover();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(db.stats().Snapshot().wal_snapshot_keys_loaded,
+            uint64_t{kKeys});
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(Committed(db, key_for(i)), std::optional<int64_t>(i));
+  }
+}
+
 // The injected torn snapshot (kWalCheckpoint short write): the
 // checkpoint fails with the half-written file never installed — the
 // manifest and the logs are untouched, so durability never regresses,
@@ -1031,8 +1144,7 @@ TEST(WalTest, AutoCheckpointTriggersFromByteOdometer) {
 // for the scan/install race.)
 TEST(WalTest, CheckpointConcurrentWithCommitsLosesNothing) {
   TempDir dir;
-  EngineOptions o = WalOptions(dir.path);
-  o.wal_group_commit_us = 50;
+  const EngineOptions o = WalOptions(dir.path);
   constexpr int kThreads = 3;
   constexpr int kTxns = 12;
   {
@@ -1078,7 +1190,7 @@ TEST(WalTest, CheckpointConcurrentWithCommitsLosesNothing) {
 // appended, a checkpoint replays nothing.
 TEST(WalTest, CheckpointRepairsUnreleasedInstallFromLogSuffix) {
   TempDir dir;
-  EngineOptions o = WalOptions(dir.path);  // 2 shards, window 0
+  EngineOptions o = WalOptions(dir.path);  // 2 shards
   o.wal_fsync_mode = WalFsyncMode::kNone;
   using Emit = std::function<void(const std::string&, int64_t)>;
   {
@@ -1194,75 +1306,33 @@ TEST(WalTest, FailedMidReplayRecoveryPoisonsTheEngine) {
   }
 }
 
-// The fsync-latency-adaptive group-commit window: a smoke that the EWMA
-// hold (clamped by wal_group_commit_us) still batches correctly and
-// loses nothing across a restart.
-TEST(WalTest, AdaptiveGroupCommitWindowRoundTrips) {
-  TempDir dir;
-  EngineOptions o = WalOptions(dir.path);
-  o.wal_group_commit_us = 500;
-  o.wal_adaptive_group_commit = true;
-  constexpr int kThreads = 4;
-  constexpr int kTxns = 6;
-  {
-    Database db(o);
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&db, t] {
-        for (int i = 0; i < kTxns; ++i) {
-          const std::string key = StrCat("a", t, ".", i);
-          ASSERT_TRUE(db.RunTransaction(5, [&](Transaction& txn) {
-                          return txn.Put(key, t * 10 + i);
-                        }).ok());
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    EXPECT_EQ(db.stats().Snapshot().wal_appends,
-              uint64_t{kThreads * kTxns});
-  }
-  Database db(o);
-  ASSERT_TRUE(db.Recover().ok());
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kTxns; ++i) {
-      EXPECT_EQ(Committed(db, StrCat("a", t, ".", i)),
-                std::optional<int64_t>(t * 10 + i));
-    }
-  }
-}
-
-// Parallel per-shard replay parses with wal_recovery_threads scanners;
-// any thread count reconstructs the identical store (the seq-ordered
-// merge is single-threaded either way).
+// Parallel per-shard replay (one scanner thread per shard, up to the
+// hardware threads) feeds a single seq-ordered merge, so it reconstructs
+// exactly what the Adds committed one after another: each key ends at
+// the sum of the deltas added to it.
 TEST(WalTest, ParallelReplayMatchesSingleThreaded) {
   TempDir dir;
   EngineOptions o = WalOptions(dir.path);
   o.wal_shards = 4;
+  constexpr int kKeys = 7;
+  int64_t expected[kKeys] = {};
   {
     Database db(o);
     for (int i = 0; i < 32; ++i) {
-      const std::string key = StrCat("p", i % 7);
+      const std::string key = StrCat("p", i % kKeys);
       ASSERT_TRUE(db.RunTransaction(1, [&](Transaction& t) {
                       return t.Add(key, i).status();
                     }).ok());
+      expected[i % kKeys] += i;
     }
   }
-  std::optional<int64_t> expected[7];
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    EngineOptions ro = o;
-    ro.wal_recovery_threads = threads;
-    Database db(ro);
-    ASSERT_TRUE(db.Recover().ok()) << threads << " threads";
-    EXPECT_EQ(db.stats().Snapshot().wal_recovery_replayed, 32u);
-    for (int k = 0; k < 7; ++k) {
-      const auto v = Committed(db, StrCat("p", k));
-      if (threads == 1) {
-        expected[k] = v;
-        EXPECT_TRUE(v.has_value());
-      } else {
-        EXPECT_EQ(v, expected[k]) << threads << " threads, key p" << k;
-      }
-    }
+  Database db(o);
+  ASSERT_TRUE(db.Recover().ok());
+  EXPECT_EQ(db.stats().Snapshot().wal_recovery_replayed, 32u);
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(Committed(db, StrCat("p", k)),
+              std::optional<int64_t>(expected[k]))
+        << "key p" << k;
   }
 }
 

@@ -4,10 +4,10 @@
 //
 // All protocols admit only serially correct executions — the locking
 // family by Theorem 34 directly, OCC because validation admits exactly
-// the schedules some serial order explains (and its traced replays ARE
-// lock-discipline schedules; the policy-parity suite proves all four on
-// checked traces) — so what differs is WHICH schedules each admits and
-// what conflicts cost:
+// the schedules some serial order explains (a traced OCC commit is
+// stamped at its serialization point; the policy-parity suite checks
+// all four on traces of the code that runs) — so what differs is WHICH
+// schedules each admits and what conflicts cost:
 //
 //   detect    — waits always; pays a graph registration per blocked
 //               request and kills only real cycles. Best goodput under

@@ -1,6 +1,5 @@
 #include "core/cc_policy.h"
 
-
 #include "util/strings.h"
 
 namespace nestedtx {
@@ -11,9 +10,6 @@ namespace {
 // close a cycle kills the requester.
 class DetectPolicy : public ConflictPolicy {
  public:
-  explicit DetectPolicy(const char* name = CcProtocolName(CcProtocol::kDetect))
-      : name_(name) {}
-
   Decision OnConflict(const TransactionId& txn,
                       const std::vector<TransactionId>& holders) override {
     Decision d;
@@ -41,10 +37,11 @@ class DetectPolicy : public ConflictPolicy {
 
   WaitGraph* graph() override { return &graph_; }
 
-  const char* Name() const override { return name_; }
+  const char* Name() const override {
+    return CcProtocolName(CcProtocol::kDetect);
+  }
 
  private:
-  const char* name_;
   WaitGraph graph_;
 };
 
@@ -108,16 +105,11 @@ std::unique_ptr<ConflictPolicy> MakeConflictPolicy(
     case CcProtocol::kWaitDie:
       return std::make_unique<WaitDiePolicy>();
     case CcProtocol::kNoWait:
-      return std::make_unique<NoWaitPolicy>();
     case CcProtocol::kOcc:
-      // The optimistic path never consults the policy (no locks, no
-      // conflicts until commit); only the traced replay commit runs
-      // through the grant paths, and it acquires in sorted key order —
-      // deadlock-free by construction — so a waiting (detection) policy
-      // is correct there and keeps the kOcc drain invariant
-      // (deadlocks == 0 and prevention_aborts == 0).
-      return std::make_unique<DetectPolicy>(
-          CcProtocolName(CcProtocol::kOcc));
+      // An OCC engine never reaches a grant, so never a conflict. If one
+      // did, the stateless kill would count under prevention_aborts,
+      // which the OCC drain checks require to stay 0.
+      return std::make_unique<NoWaitPolicy>();
   }
   return std::make_unique<DetectPolicy>();
 }

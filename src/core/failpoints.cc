@@ -1,8 +1,11 @@
 #include "core/failpoints.h"
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -139,36 +142,45 @@ std::vector<FailPoints::Site> SitesNamed(const std::string& name) {
 }
 
 // "key=value" into a Config (or the shared seed); false on unknown key
-// or malformed value.
+// or malformed value. strtoull alone would read "" as 0 and wrap "-1" to
+// its maximum, so a value must start with a digit and fit its field: 32
+// bits for the Config fields, 64 for the seed.
 bool ApplyParam(const std::string& param, FailPoints::Config* cfg,
                 bool* reseed, uint64_t* seed) {
   const size_t eq = param.find('=');
   if (eq == std::string::npos) return false;
   const std::string key = param.substr(0, eq);
+  const char* text = param.c_str() + eq + 1;
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return false;
+  errno = 0;
   char* end = nullptr;
-  const unsigned long long value =
-      std::strtoull(param.c_str() + eq + 1, &end, 0);
-  if (end == nullptr || *end != '\0') return false;
-  if (key == "delay_one_in") {
-    cfg->delay_one_in = static_cast<uint32_t>(value);
-  } else if (key == "delay_us") {
-    cfg->delay_us = static_cast<uint32_t>(value);
-  } else if (key == "spurious_wakeup_one_in") {
-    cfg->spurious_wakeup_one_in = static_cast<uint32_t>(value);
-  } else if (key == "deadlock_one_in") {
-    cfg->deadlock_one_in = static_cast<uint32_t>(value);
-  } else if (key == "timeout_one_in") {
-    cfg->timeout_one_in = static_cast<uint32_t>(value);
-  } else if (key == "io_error_one_in") {
-    cfg->io_error_one_in = static_cast<uint32_t>(value);
-  } else if (key == "short_write_one_in") {
-    cfg->short_write_one_in = static_cast<uint32_t>(value);
-  } else if (key == "seed") {
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (errno == ERANGE || *end != '\0') return false;
+  if (key == "seed") {
     *reseed = true;
     *seed = value;
+    return true;
+  }
+  uint32_t* field = nullptr;
+  if (key == "delay_one_in") {
+    field = &cfg->delay_one_in;
+  } else if (key == "delay_us") {
+    field = &cfg->delay_us;
+  } else if (key == "spurious_wakeup_one_in") {
+    field = &cfg->spurious_wakeup_one_in;
+  } else if (key == "deadlock_one_in") {
+    field = &cfg->deadlock_one_in;
+  } else if (key == "timeout_one_in") {
+    field = &cfg->timeout_one_in;
+  } else if (key == "io_error_one_in") {
+    field = &cfg->io_error_one_in;
+  } else if (key == "short_write_one_in") {
+    field = &cfg->short_write_one_in;
   } else {
     return false;
   }
+  if (value > std::numeric_limits<uint32_t>::max()) return false;
+  *field = static_cast<uint32_t>(value);
   return true;
 }
 

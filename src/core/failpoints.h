@@ -74,8 +74,10 @@ class FailPoints {
   /// begin_txn, retry_backoff, wal_append, wal_fsync, wal_recover,
   /// wal_checkpoint, or `all` (every site gets the config).
   /// Parameter keys are the Config fields. `seed=N` as a parameter of any
-  /// group reseeds the decision stream. Unknown names/keys are reported
-  /// on stderr and skipped. Returns the number of sites armed (0 when the
+  /// group reseeds the decision stream. Values are unsigned decimal (or
+  /// 0x hex); one that is empty, signed, or too wide for its field (32
+  /// bits, 64 for the seed) skips its group. Unknown names/keys are
+  /// reported on stderr and skipped. Returns the number of sites armed (0 when the
   /// variable is unset or empty); already-armed sites are overwritten.
   static int EnableFromEnv();
   /// Parse one NESTEDTX_FAILPOINTS-grammar spec (testable core of

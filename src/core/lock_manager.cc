@@ -1090,23 +1090,15 @@ Result<std::optional<int64_t>> LockManager::OccReadKey(const std::string& key,
                                                        OccReadEntry* entry) {
   KeyState& ks = GetKeyState(key);
   for (;;) {
-    uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
+    const uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
     if (w1 & kWordInflated) {
-      // A traced OCC commit (replayed under locks) may have left the key
-      // escalated; in the inflated regime the seq is not a validation
-      // version (holder removals and top-level installs don't bump it),
-      // so either hand the key back to the word regime or fail the read.
-      {
-        std::lock_guard<std::mutex> lock(ks.m);
-        MaybeDeflateLocked(ks);
-      }
-      w1 = ks.hot.word.load(std::memory_order_acquire);
-      if (w1 & kWordInflated) {
-        stats_->Add(kStatOccValidationAborts);
-        return Status::Aborted(
-            StrCat("optimistic read of a locked (inflated) key: ", key));
-      }
-      continue;
+      // In the inflated regime the seq is not a validation version
+      // (holder removals and top-level installs don't bump it). Nothing
+      // inflates a key in an OCC engine, so this only guards the word
+      // discipline.
+      stats_->Add(kStatOccValidationAborts);
+      return Status::Aborted(
+          StrCat("optimistic read of a locked (inflated) key: ", key));
     }
     if (w1 & kWordMicro) {
       std::this_thread::yield();
@@ -1138,8 +1130,8 @@ constexpr int kOccCommitSpinBudget = 4096;
 
 Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
                               const std::vector<OccReadEntry>& reads,
-                              uint64_t wal_shard_hint,
-                              WalTicket* wal_ticket) {
+                              uint64_t wal_shard_hint, WalTicket* wal_ticket,
+                              TraceBlock* trace) {
   // (1) Lock phase: take the MICRO bit on every write key in sorted key
   // order. Sorted exclusive acquisition makes concurrent committers
   // deadlock-free: a committer only ever waits for keys greater than all
@@ -1166,19 +1158,9 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
     for (int spin = 0; spin < kOccCommitSpinBudget && !have; ++spin) {
       uint64_t cur = ks.hot.word.load(std::memory_order_relaxed);
       if (cur & kWordInflated) {
-        // Deflate if quiescent. Taking ks.m while holding earlier MICRO
-        // bits is safe: mutex sections only ever spin on their OWN key's
-        // micro bit, and an inflated key's micro bit is always clear, so
-        // this wait is on bounded mutex sections, never on a cycle
-        // through a bit we hold.
-        std::lock_guard<std::mutex> lock(ks.m);
-        MaybeDeflateLocked(ks);
-        cur = ks.hot.word.load(std::memory_order_relaxed);
-        if (cur & kWordInflated) {
-          return fail(StrCat("OCC write set conflicts with a locked "
-                             "(inflated) key: ",
-                             w.key));
-        }
+        return fail(StrCat("OCC write set conflicts with a locked "
+                           "(inflated) key: ",
+                           w.key));
       }
       if (cur & kWordMicro) {
         std::this_thread::yield();
@@ -1196,6 +1178,22 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
                          w.key));
     }
     locked.push_back({&ks, pre});
+  }
+  // Serialization point: a traced commit reserves its trace block here,
+  // after the lock phase and before validation (Reserve is one fetch_add,
+  // no recorder mutex under a MICRO bit). Say T reserves at s; a
+  // conflicting writer W reserves on the side of s its commit is on:
+  //   - W writes a key T read (not wrote) before W's install: W locks it
+  //     after T's validation load (a locked or changed word fails
+  //     validation), which follows s, and W reserves after its lock
+  //     phase, so after s.
+  //   - T read W's install: W reserved before installing, so before s.
+  //   - W writes a key T writes: T holds its MICRO bit from before s to
+  //     T's install. W either held the bit earlier and reserved before
+  //     releasing it, so before s, or takes it after T's install and
+  //     reserves after s.
+  if (recorder_ != nullptr && trace != nullptr) {
+    trace->first = recorder_->Reserve(trace->size);
   }
   // (2) Validate: every store-sourced read must see an EXACTLY unchanged
   // word. For a key we write-locked ourselves the pre-lock word is

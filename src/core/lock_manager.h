@@ -327,29 +327,28 @@ class LockManager {
   /// Optimistic read of `key`'s committed value: the seqlock read lane
   /// without any holder-set insert — two acquire loads around the value
   /// cache, zero shared-state writes on the hit path. Fills `entry` with
-  /// the exact word OccCommit will validate. An INFLATED key is deflated
-  /// if quiescent (a traced replay commit may have left it escalated)
-  /// and otherwise fails with a retryable Status::Aborted
-  /// counted under occ_validation_aborts: in the inflated regime holder
-  /// removals and top-level installs do NOT bump the seq, so no inflated
-  /// word can serve as a validation version (DESIGN §4.9). Requires
-  /// lock_word_enabled and no trace recorder (traced OCC commits replay
-  /// through the mutex-ordered locking paths instead).
+  /// the exact word OccCommit will validate. An INFLATED key fails with a
+  /// retryable Status::Aborted counted under occ_validation_aborts: in
+  /// the inflated regime holder removals and top-level installs do NOT
+  /// bump the seq, so no inflated word can serve as a validation version
+  /// (DESIGN §4.9). Nothing in an OCC engine inflates a key, so this is
+  /// a guard, not a path. Requires lock_word_enabled.
   Result<std::optional<int64_t>> OccReadKey(const std::string& key,
                                             OccReadEntry* entry);
 
-  /// Silo-style top-level OCC commit. `writes` must be sorted by key and
-  /// unique. Three steps: (1) lock every write key's MICRO bit in sorted
-  /// key order (bounded spin; INFLATED keys are deflated if quiescent,
-  /// else the commit aborts); (2) validate every store-sourced read
-  /// entry's word is EXACTLY unchanged — for a key in our own write set
-  /// the pre-lock word is compared, so our own MICRO bit never fails us;
-  /// (3) install each write as the committed base, refresh the value
-  /// cache, and release with a seq bump so concurrent optimistic readers
-  /// and later committers observe the change. Validation failure
-  /// restores the pre-lock words untouched and returns a retryable
-  /// Status::Aborted (counted under occ_validation_aborts). Read-only
-  /// commits (empty write set) take no lock and perform no store at all.
+  /// Silo-style top-level OCC commit, traced or not. `writes` must be
+  /// sorted by key and unique. Three steps: (1) lock every write key's
+  /// MICRO bit in sorted key order (bounded spin; an INFLATED key aborts
+  /// the commit); (2) validate every store-sourced read entry's word is
+  /// EXACTLY unchanged — for a key in our own write set the pre-lock
+  /// word is compared, so our own MICRO bit never fails us; (3) install
+  /// each write as the committed base, refresh the value cache, and
+  /// release with a seq bump so concurrent optimistic readers and later
+  /// committers observe the change. Validation failure restores the
+  /// pre-lock words untouched and returns a retryable Status::Aborted
+  /// (counted under occ_validation_aborts), as does an exhausted spin
+  /// budget. Read-only commits (empty write set) take no lock and
+  /// perform no store at all.
   /// With a WAL attached (SetWal) and a non-null `wal_ticket`, the commit
   /// image is appended between validation and install — the write-set
   /// words are still MICRO-locked, so record seq order is per-key commit
@@ -358,10 +357,16 @@ class LockManager {
   /// (nothing installed) and returns the append's status (IoError, or
   /// InvalidArgument for an oversize image), NOT counted as a
   /// validation abort. `wal_shard_hint` is the top-level begin ordinal.
+  /// With a trace recorder attached and a non-null `trace`, a block of
+  /// trace->size sequence numbers is reserved between steps (1) and (2)
+  /// — the commit's serialization point; the ordering argument is in
+  /// the implementation — and returned in trace->first for the caller
+  /// to fill once the commit has succeeded.
   Status OccCommit(const std::vector<OccWriteEntry>& writes,
                    const std::vector<OccReadEntry>& reads,
                    uint64_t wal_shard_hint = 0,
-                   WalTicket* wal_ticket = nullptr);
+                   WalTicket* wal_ticket = nullptr,
+                   TraceBlock* trace = nullptr);
 
   /// Orphan cancellation (the paper's orphan notion made operational:
   /// descendants of an aborting ancestor get no Theorem 34 guarantee, so
@@ -442,8 +447,9 @@ class LockManager {
   KeySnapshotForTest SnapshotKeyForTest(const std::string& key);
 
   /// Attach a trace recorder (before any transaction runs; tracing
-  /// disables the fast lanes so every event is emitted under a key
-  /// mutex). The recorder must outlive the lock manager.
+  /// disables the fast lanes so every grant and release emits under a
+  /// key mutex, and OccCommit reserves its commit's block). The recorder
+  /// must outlive the lock manager.
   void SetTraceRecorder(EngineTraceRecorder* recorder) {
     recorder_ = recorder;
   }

@@ -13,33 +13,40 @@ EngineTraceRecorder::EngineTraceRecorder() {
   Emit(Event::Create(TransactionId::Root()));
 }
 
-void EngineTraceRecorder::Emit(const Event& e) {
-  const uint64_t n = seq_.fetch_add(1);
+void EngineTraceRecorder::EmitAt(uint64_t seq, const Event& e) {
   std::lock_guard<std::mutex> lock(mutex_);
-  events_.emplace_back(n, e);
+  events_.emplace_back(seq, e);
 }
 
-void EngineTraceRecorder::EmitAccess(const std::string& key,
-                                     const AccessTraceInfo& info,
-                                     Value value) {
-  const ObjectId x = ObjectFor(key);
-  // Record classification once (idempotent per access id).
+void EngineTraceRecorder::EmitAccessAt(uint64_t seq, const std::string& key,
+                                       const AccessTraceInfo& info,
+                                       Value value) {
+  const TransactionId& a = info.access_id;
+  std::lock_guard<std::mutex> lock(mutex_);
+  const ObjectId x = ObjectForLocked(key);
+  // Record the classification for BuildSystemType (idempotent per id).
   const bool is_read = info.op_code == ops::kRead;
-  RecordAccessKind(info.access_id, x,
-                   is_read ? AccessKind::kRead : AccessKind::kWrite,
-                   OpDescriptor{info.op_code, info.op_arg});
-  // The whole access lifecycle, atomically ordered: the generic scheduler
-  // is free to run these back-to-back, and the engine effectively does.
-  Emit(Event::RequestCreate(info.access_id));
-  Emit(Event::Create(info.access_id));
-  Emit(Event::RequestCommit(info.access_id, value));
-  Emit(Event::Commit(info.access_id));
-  Emit(Event::ReportCommit(info.access_id, value));
-  Emit(Event::InformCommitAt(x, info.access_id));
+  accesses_.emplace(a, AccessMeta{x,
+                                  is_read ? AccessKind::kRead
+                                          : AccessKind::kWrite,
+                                  OpDescriptor{info.op_code, info.op_arg}});
+  // The whole access lifecycle, on consecutive sequence numbers: the
+  // generic scheduler is free to run these back-to-back, and the engine
+  // effectively does.
+  events_.emplace_back(seq, Event::RequestCreate(a));
+  events_.emplace_back(seq + 1, Event::Create(a));
+  events_.emplace_back(seq + 2, Event::RequestCommit(a, value));
+  events_.emplace_back(seq + 3, Event::Commit(a));
+  events_.emplace_back(seq + 4, Event::ReportCommit(a, value));
+  events_.emplace_back(seq + 5, Event::InformCommitAt(x, a));
 }
 
 ObjectId EngineTraceRecorder::ObjectFor(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
+  return ObjectForLocked(key);
+}
+
+ObjectId EngineTraceRecorder::ObjectForLocked(const std::string& key) {
   auto it = object_by_key_.find(key);
   if (it != object_by_key_.end()) return it->second;
   const ObjectId x = static_cast<ObjectId>(key_by_object_.size());
@@ -50,16 +57,8 @@ ObjectId EngineTraceRecorder::ObjectFor(const std::string& key) {
 
 void EngineTraceRecorder::RecordPreload(const std::string& key,
                                         Value value) {
-  const ObjectId x = ObjectFor(key);
   std::lock_guard<std::mutex> lock(mutex_);
-  initial_values_[x] = value;
-}
-
-void EngineTraceRecorder::RecordAccessKind(const TransactionId& access_id,
-                                           ObjectId object, AccessKind kind,
-                                           OpDescriptor op) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  accesses_.emplace(access_id, AccessMeta{object, kind, op});
+  initial_values_[ObjectForLocked(key)] = value;
 }
 
 Schedule EngineTraceRecorder::Snapshot() const {

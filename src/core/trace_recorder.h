@@ -8,12 +8,18 @@
 // distinct key). An access's whole lifecycle
 //   REQUEST_CREATE, CREATE, REQUEST_COMMIT(v), COMMIT, REPORT_COMMIT(v),
 //   INFORM_COMMIT_AT(X)
-// is emitted atomically at lock-grant time under the key's mutex, which
-// is also where the engine's state change happens — so the recorded
-// per-object order is exactly the order the lock manager enforced.
-// Transaction lifecycle events are emitted by Begin/Commit/Abort;
-// INFORM_{COMMIT,ABORT}_AT events are emitted inside the lock manager's
-// per-key commit/abort handlers, again under the key mutex.
+// is one group of consecutive sequence numbers, stamped where the engine
+// orders the access against other transactions' accesses to the key:
+//   - Locking protocols emit it at lock-grant time under the key's mutex,
+//     where the state change happens, so the per-object order is the
+//     order the lock manager enforced (tracing turns their lock-word
+//     lanes off). INFORM_{COMMIT,ABORT}_AT events are emitted in the
+//     per-key commit/abort handlers, again under the key mutex.
+//   - OCC runs its real commit. LockManager::OccCommit reserves one block
+//     at its serialization point; once the commit succeeds the block gets
+//     the buffered ops' access groups, REQUEST_COMMIT, COMMIT and one
+//     INFORM_COMMIT_AT per key (ordering argument at OccCommit).
+// Transaction lifecycle events are emitted by Begin/Commit/Abort.
 //
 // The recorded sequence, sorted by its global sequence numbers, is a
 // schedule of the R/W Locking system over the SystemType reconstructed by
@@ -45,27 +51,46 @@ struct AccessTraceInfo {
   Value op_arg = 0;
 };
 
+/// A run of consecutive sequence numbers reserved ahead of its events.
+struct TraceBlock {
+  uint64_t size = 0;   // events it holds (set by the caller)
+  uint64_t first = 0;  // first sequence number (set by the reserver)
+};
+
 class EngineTraceRecorder {
  public:
+  /// Events in one access group (see header comment).
+  static constexpr uint64_t kAccessGroupEvents = 6;
+
   EngineTraceRecorder();
 
+  /// Reserve `n` consecutive global sequence numbers and return the
+  /// first. One fetch_add and no mutex, so it may run under a MICRO bit.
+  uint64_t Reserve(uint64_t n) { return seq_.fetch_add(n); }
+
+  /// Record `e` at a sequence number obtained from Reserve.
+  void EmitAt(uint64_t seq, const Event& e);
+
   /// Thread-safe append of one event (stamps a global sequence number).
-  void Emit(const Event& e);
+  void Emit(const Event& e) { EmitAt(Reserve(1), e); }
 
   /// Emit the full access group (see header comment) for a granted
   /// access on `key` that returned `value`. Called under the key mutex.
   void EmitAccess(const std::string& key, const AccessTraceInfo& info,
-                  Value value);
+                  Value value) {
+    EmitAccessAt(Reserve(kAccessGroupEvents), key, info, value);
+  }
+
+  /// Write that group at seq .. seq + kAccessGroupEvents - 1, reserved
+  /// by the caller (EmitAccess, or a traced OCC commit's block).
+  void EmitAccessAt(uint64_t seq, const std::string& key,
+                    const AccessTraceInfo& info, Value value);
 
   /// Object id for `key`, assigning one on first sight (thread-safe).
   ObjectId ObjectFor(const std::string& key);
 
   /// Record a preloaded committed value (must precede any access).
   void RecordPreload(const std::string& key, Value value);
-
-  /// Record an access's classification for system-type reconstruction.
-  void RecordAccessKind(const TransactionId& access_id, ObjectId object,
-                        AccessKind kind, OpDescriptor op);
 
   /// The recorded schedule, in global order.
   Schedule Snapshot() const;
@@ -76,6 +101,8 @@ class EngineTraceRecorder {
   Result<SystemType> BuildSystemType() const;
 
  private:
+  ObjectId ObjectForLocked(const std::string& key);
+
   mutable std::mutex mutex_;
   std::vector<std::pair<uint64_t, Event>> events_;
   std::atomic<uint64_t> seq_{0};

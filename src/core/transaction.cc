@@ -422,10 +422,10 @@ Result<std::unique_ptr<Transaction>> Transaction::BeginChild() {
   }
   active_children_.fetch_add(1);
   // OCC children are invisible to the trace: a subtransaction only moves
-  // private buffers around, and its effects surface as the top-level
-  // replay commit's accesses (see CommitOcc). Emitting create/commit
-  // events for lock-free children would give the checker transactions
-  // with no access structure to certify.
+  // private buffers around, and its ops surface as accesses of the
+  // top-level commit's trace block (see CommitOcc). Emitting
+  // create/commit events for lock-free children would give the checker
+  // transactions with no access structure to certify.
   if (!occ_) {
     if (EngineTraceRecorder* rec = manager_->locks().trace_recorder()) {
       rec->Emit(Event::RequestCreate(child_id));
@@ -780,14 +780,6 @@ Result<std::optional<int64_t>> Transaction::OccObserve(
     // re-resolves the key and fails if the observation went stale.
     e.observed = v;
     e.from_store = false;
-  } else if (manager_->locks().trace_recorder() != nullptr) {
-    // Traced runs replay the commit through the mutex-ordered grant
-    // paths, which keep keys inflated — the word is no validation
-    // version there. ReadBase gives the committed value; the replay
-    // itself re-validates every observation under real locks.
-    e.observed = manager_->locks().ReadBase(key);
-    e.from_store = true;
-    v = e.observed;
   } else {
     Result<std::optional<int64_t>> r = manager_->locks().OccReadKey(key, &e);
     if (!r.ok()) return r.status();
@@ -928,77 +920,6 @@ Status Transaction::OccMergeIntoParent() {
   return Status::OK();
 }
 
-Status Transaction::OccReplayTraced(OccState* st,
-                                    std::vector<std::string>* acquired) {
-  if (st == nullptr) return Status::OK();
-  LockManager& locks = manager_->locks();
-  // Replay in sorted key order (stable, so per-key program order is
-  // preserved). Every op on a write-set key — reads included — takes the
-  // WRITE lock, so there are no upgrades; with sorted exclusive
-  // acquisition a replaying committer only ever waits for keys greater
-  // than everything it holds, and concurrent replays cannot deadlock.
-  std::stable_sort(
-      st->ops.begin(), st->ops.end(),
-      [](const OccOp& a, const OccOp& b) { return a.key < b.key; });
-  auto writes_key = [&](const std::string& k) {
-    auto it = OccFindWrite(st->writes, k);
-    return it != st->writes.end() && it->key == k;
-  };
-  for (const OccOp& op : st->ops) {
-    AccessTraceInfo info;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      info.access_id = id_.Child(child_counter_++);
-    }
-    info.op_code = op.op_code;
-    info.op_arg = op.op_arg;
-    SpanAccessScope span_scope(this);
-    Result<std::optional<int64_t>> r = [&]() {
-      if (op.op_code == ops::kRead) {
-        if (writes_key(op.key)) {
-          // GetForUpdate's idiom: a write lock running a read-only op.
-          return locks.AcquireWrite(
-              id_, op.key, [](std::optional<int64_t> v) { return v; },
-              &info);
-        }
-        return locks.AcquireRead(id_, op.key, &info);
-      }
-      if (op.op_code == ops::kWrite) {
-        const Value value = op.op_arg;
-        return locks.AcquireWrite(
-            id_, op.key, [value](std::optional<int64_t>) { return value; },
-            &info);
-      }
-      if (op.op_code == ops::kCellAdd) {
-        const Value delta = op.op_arg;
-        return locks.AcquireWrite(
-            id_, op.key,
-            [delta](std::optional<int64_t> v) {
-              return v.value_or(0) + delta;
-            },
-            &info);
-      }
-      return locks.AcquireWrite(
-          id_, op.key, [](std::optional<int64_t>) { return std::nullopt; },
-          &info);  // ops::kCellDelete
-    }();
-    if (!r.ok()) return r.status();
-    if (acquired->empty() || acquired->back() != op.key) {
-      acquired->push_back(op.key);
-    }
-    // The replay must reproduce the optimistic observation. Only ops
-    // that report a value can diverge: kRead and kCellAdd re-derive
-    // their result from the store; blind writes cannot mismatch.
-    if ((op.op_code == ops::kRead || op.op_code == ops::kCellAdd) &&
-        *r != op.reported) {
-      manager_->stats().Add(kStatOccValidationAborts);
-      return Status::Aborted(StrCat(
-          id_, " OCC replay validation failed on key '", op.key, "'"));
-    }
-  }
-  return Status::OK();
-}
-
 Status Transaction::CommitOcc(uint64_t commit_req_ns) {
   MetricsRegistry& metrics = manager_->metrics();
   const bool timed = metrics.enabled();
@@ -1027,48 +948,47 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
     my_aggregate = aggregate_;
   }
   EngineTraceRecorder* rec = manager_->locks().trace_recorder();
+  std::vector<OccOp> ops;  // the trace payload
+  TraceBlock block;
+  if (rec != nullptr) {
+    // Size the block: one access group per op, REQUEST_COMMIT, COMMIT,
+    // and one INFORM_COMMIT_AT per distinct key. The stable sort keeps
+    // each key's ops in the order the tree ran them.
+    if (st != nullptr) ops.swap(st->ops);
+    std::stable_sort(
+        ops.begin(), ops.end(),
+        [](const OccOp& a, const OccOp& b) { return a.key < b.key; });
+    block.size = 2;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      block.size += EngineTraceRecorder::kAccessGroupEvents;
+      if (i == 0 || ops[i].key != ops[i - 1].key) ++block.size;
+    }
+  }
   WriteAheadLog* wal = manager_->wal();
   WalTicket wal_ticket;
   Status s = Status::OK();
-  std::vector<std::string> acquired;
   size_t keys_touched = 0;
-  if (rec != nullptr) {
-    s = OccReplayTraced(st.get(), &acquired);
-    keys_touched = acquired.size();
-    // Traced replay holds real write locks on the write set: append the
-    // commit image before OnCommit releases them, mirroring the locking
-    // path's durability point. An append failure drops into the abort
-    // block below with nothing installed (OnAbort discards the replayed
-    // versions).
-    if (s.ok() && wal != nullptr && st != nullptr && !st->writes.empty()) {
-      Result<WalTicket> t = wal->AppendImage(id_[0], st->writes);
-      if (t.ok()) {
-        wal_ticket = *t;
-      } else {
-        s = t.status();
-      }
-    }
-  } else if (st != nullptr &&
-             (!st->writes.empty() || !st->reads.empty())) {
+  const bool touched =
+      st != nullptr && (!st->writes.empty() || !st->reads.empty());
+  if (touched) {
     keys_touched = st->writes.size() + st->reads.size();
     // OccCommit appends the image itself, between validation and
-    // install (the write-set words are still MICRO-locked there).
+    // install (the write-set words are still MICRO-locked there), and
+    // reserves the trace block at its serialization point.
     s = manager_->locks().OccCommit(st->writes, st->reads, id_[0],
-                                    wal != nullptr ? &wal_ticket : nullptr);
+                                    wal != nullptr ? &wal_ticket : nullptr,
+                                    rec != nullptr ? &block : nullptr);
   }
   const CcMode mode = manager_->options().cc_mode;
   if (s.ok()) {
     if (rec != nullptr) {
-      rec->Emit(Event::RequestCommit(id_, my_aggregate));
-      rec->Emit(Event::Commit(id_));
-      manager_->locks().OnCommit(id_, TransactionId::Root(), acquired);
-      // Traced replay releases via OnCommit (the untraced lane's
-      // OccCommit reports its own release internally).
-      if (wal_ticket.seq != 0) wal->NoteCommitReleased(wal_ticket);
+      // Nothing to validate or install: any point of the order serves.
+      if (!touched) block.first = rec->Reserve(block.size);
+      EmitOccCommit(ops, block.first, my_aggregate);
     }
-    // Installed (or replayed+released); now park for durability. Same
-    // asymmetry as the locking path: a flush failure reports the
-    // non-retryable DurabilityLost without undoing the install.
+    // Installed; now park for durability. Same asymmetry as the locking
+    // path: a flush failure reports the non-retryable DurabilityLost
+    // without undoing the install.
     Status durable = Status::OK();
     if (wal_ticket.seq != 0) durable = wal->WaitDurable(wal_ticket);
     if (timed) {
@@ -1084,14 +1004,13 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
     if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
     return durable;
   }
-  // Validation (or replay, or the WAL append) failed: the transaction
-  // aborts in place, mirroring Abort()'s event order and bookkeeping.
-  // The handle has returned, so Database's retry loop sees the retryable
-  // abort without a double Abort(). Nothing was installed in any of the
-  // failure cases (an append failure backs out before install).
+  // Validation (or the WAL append) failed: the transaction aborts in
+  // place, mirroring Abort()'s event order and bookkeeping. The handle
+  // has returned, so Database's retry loop sees the retryable abort
+  // without a double Abort(). Nothing was installed, and the trace saw
+  // none of the tree's accesses (the reserved block stays empty).
   if (rec != nullptr) {
     rec->Emit(Event::Abort(id_));
-    manager_->locks().OnAbort(id_, acquired);
     rec->Emit(Event::ReportAbort(id_));
   }
   if (timed) {
@@ -1105,6 +1024,34 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
   manager_->locks().ClearDoom(id_);
   if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
   return s;
+}
+
+void Transaction::EmitOccCommit(const std::vector<OccOp>& ops,
+                                uint64_t first, Value aggregate) {
+  EngineTraceRecorder* rec = manager_->locks().trace_recorder();
+  // Every child has returned, but child_counter_ stays under mutex_.
+  uint32_t child = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    child = child_counter_;
+    child_counter_ += static_cast<uint32_t>(ops.size());
+  }
+  uint64_t seq = first;
+  for (const OccOp& op : ops) {
+    AccessTraceInfo info;
+    info.access_id = id_.Child(child++);
+    info.op_code = op.op_code;
+    info.op_arg = op.op_arg;
+    rec->EmitAccessAt(seq, op.key, info, op.reported.value_or(kAbsentValue));
+    seq += EngineTraceRecorder::kAccessGroupEvents;
+  }
+  rec->EmitAt(seq++, Event::RequestCommit(id_, aggregate));
+  rec->EmitAt(seq++, Event::Commit(id_));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (i > 0 && ops[i].key == ops[i - 1].key) continue;
+    rec->EmitAt(seq++,
+                Event::InformCommitAt(rec->ObjectFor(ops[i].key), id_));
+  }
 }
 
 namespace {

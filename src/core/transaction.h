@@ -186,9 +186,11 @@ class Transaction {
   // (giving repeatable reads); child commit validates-and-merges the
   // sets into the parent; only top-level commit touches shared state.
 
-  /// One buffered op, kept (traced runs only) for the top-level replay
-  /// commit. `reported` is the value the op observed/produced — the
-  /// replay must reproduce it or fail validation.
+  /// One buffered op, kept (traced runs only) as the trace payload of
+  /// the top-level commit. `reported` is the value the op observed or
+  /// produced. The read and write sets drop some of these values (reads
+  /// served from an ancestor's buffer, reads of the tree's own writes),
+  /// and the checker needs them to catch a bad child merge.
   struct OccOp {
     std::string key;
     uint32_t op_code;
@@ -225,16 +227,18 @@ class Transaction {
   /// of lock inheritance). Fails with retryable Status::Aborted when a
   /// sibling's merged write invalidated an observation.
   Status OccMergeIntoParent();
-  /// Top-level commit bookkeeping (word-path validate/install, or the
-  /// traced replay-under-locks). Called from Commit() after returned_
-  /// flips; mirrors the locking path's events/metrics/stats exactly.
+  /// Commit bookkeeping: a child validates and merges into its parent;
+  /// a top-level runs LockManager::OccCommit, traced or not. Called from
+  /// Commit() after returned_ flips; mirrors the locking path's
+  /// events/metrics/stats. A traced top-level commit fills the block
+  /// OccCommit reserved (EmitOccCommit); one that fails emits only ABORT
+  /// and REPORT_ABORT.
   Status CommitOcc(uint64_t commit_req_ns);
-  /// Traced replay: re-run the buffered ops through the locking grant
-  /// paths in sorted key order (writes exclusively, so no upgrades and,
-  /// by the sorted-acquisition argument, no deadlocks), validating each
-  /// observed value. Fills `acquired` with the touched keys for
-  /// OnCommit/OnAbort.
-  Status OccReplayTraced(OccState* st, std::vector<std::string>* acquired);
+  /// Fill a traced commit's block from `first`: the ops' access groups
+  /// stable-sorted by key, REQUEST_COMMIT, COMMIT, then one
+  /// INFORM_COMMIT_AT per key. `ops` must already be sorted.
+  void EmitOccCommit(const std::vector<OccOp>& ops, uint64_t first,
+                     Value aggregate);
 
   /// RAII wrapper around one lock-manager call: charges the calling
   /// thread's lock-wait delta (ThreadWaitAccounting) to the sampled

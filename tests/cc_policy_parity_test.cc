@@ -6,14 +6,17 @@
 // quantifies over every schedule the R/W locking discipline admits, and
 // the policies only choose WHICH admitted schedule unfolds — so the
 // traced storms here must validate under the mechanized checker for all
-// of them, unchanged. (Traced OCC replays its buffered operations
-// through the grant paths at top-level commit, so its schedules are
-// locking-discipline schedules too, and the theorem applies verbatim.)
+// of them, unchanged. Traced OCC runs the same word-validating commit
+// as untraced OCC and stamps it at its serialization point, so the
+// checker certifies the commit that actually runs. The traced storm
+// also reads a key outside each transaction's write set, so OCC's
+// unlocked-read validation reaches the checker.
 // The drain invariants are per-policy: detection's wait graph must be
 // empty and it never kills by prevention; the prevention
 // protocols must end with a zero deadlock counter (they have no
-// detector to bump it); OCC must end with zero deadlocks AND zero
-// prevention kills (conflicts are validation aborts); and in every case
+// detector to bump it); OCC must end with zero deadlocks, zero
+// prevention kills, zero lock grants and zero key inflations (it never
+// takes a lock; conflicts are validation aborts); and in every case
 // an empty park table, no doomed roots, and committed state equal to
 // exactly the committed writes.
 //
@@ -54,6 +57,8 @@ struct StormSpec {
   int txns_per_thread = 0;  // callers set this, pre-scaled
   int num_keys = 4;
   int writes_per_txn = 3;
+  // Top-level reads of keys outside the write set, before the writes.
+  int reads_per_txn = 0;
   bool nested = false;           // wrap each write in a subtransaction
   double voluntary_abort_p = 0;  // per-attempt child abort probability
   int max_attempts = 1000;
@@ -87,6 +92,11 @@ StormOutcome RunStorm(Database& db, const StormSpec& spec) {
         }
         Status s = db.RunTransaction(
             spec.max_attempts, [&](Transaction& tx) -> Status {
+              for (int r = 0; r < spec.reads_per_txn; ++r) {
+                const std::string& key =
+                    keys[order[static_cast<size_t>(spec.writes_per_txn + r)]];
+                RETURN_IF_ERROR(tx.TryGet(key).status());
+              }
               for (int w = 0; w < spec.writes_per_txn; ++w) {
                 const std::string& key = keys[order[static_cast<size_t>(w)]];
                 if (spec.nested) {
@@ -141,12 +151,14 @@ void CheckDrained(Database& db, const StormSpec& spec,
       EXPECT_EQ(snap.deadlocks, 0u) << snap.ToString();
       break;
     case CcProtocol::kOcc:
-      // Lock-free execution: conflicts surface only as validation
-      // aborts at commit, never as deadlocks or prevention kills (the
-      // commit lock phase acquires in sorted key order, and traced
-      // replay does too).
+      // Lock-free execution, traced or not: no lock is ever granted and
+      // no key leaves the word regime, so conflicts surface only as
+      // validation aborts at commit, never as deadlocks or prevention
+      // kills (the commit lock phase acquires in sorted key order).
       EXPECT_EQ(snap.deadlocks, 0u) << snap.ToString();
       EXPECT_EQ(snap.prevention_aborts, 0u) << snap.ToString();
+      EXPECT_EQ(snap.lock_grants, 0u) << snap.ToString();
+      EXPECT_EQ(snap.lock_word_inflations, 0u) << snap.ToString();
       break;
   }
   uint64_t sum = 0;
@@ -285,6 +297,7 @@ TEST_F(CcPolicyParityTest, TracedStormsSeriallyCorrectAllProtocols) {
     spec.txns_per_thread = 8;
     spec.num_keys = 3;
     spec.writes_per_txn = 2;
+    spec.reads_per_txn = 1;
     spec.nested = true;
     spec.voluntary_abort_p = 0.2;
     StormOutcome out = RunStorm(db, spec);

@@ -9,7 +9,9 @@
 //  - nested semantics are buffer merges — child commit folds its sets
 //    into the parent, partial abort discards exactly the child's sets;
 //  - the sorted commit lock phase cannot deadlock (deadlocks == 0 under
-//    opposite-order write meshes).
+//    opposite-order write meshes);
+//  - a traced run executes the same commit, takes no lock grant, and
+//    leaves a schedule the Theorem 34 checker accepts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -220,9 +222,9 @@ TEST(OccTest, SortedCommitLockingNeverDeadlocks) {
   EXPECT_EQ(snap.prevention_aborts, 0u) << snap.ToString();
 }
 
-// Traced OCC replays its buffered operations through the locking grant
-// paths at top-level commit, so the resulting schedule is an R/W
-// Locking schedule and the Theorem 34 checker must accept it.
+// Traced OCC runs the same word-validating commit as untraced OCC (no
+// lock grant, no inflation) and stamps the buffered ops at its
+// serialization point; the Theorem 34 checker must accept the schedule.
 TEST(OccTest, TracedOccValidatesUnderChecker) {
   EngineOptions o = OccOptions();
   Database db(o);
@@ -239,6 +241,9 @@ TEST(OccTest, TracedOccValidatesUnderChecker) {
   ASSERT_TRUE(txn->Commit().ok());
   EXPECT_EQ(db.ReadCommitted("k"), std::optional<int64_t>(2));
   EXPECT_EQ(db.ReadCommitted("j"), std::optional<int64_t>(7));
+  const StatsSnapshot snap = db.stats().Snapshot();
+  EXPECT_EQ(snap.lock_grants, 0u) << snap.ToString();
+  EXPECT_EQ(snap.lock_word_inflations, 0u) << snap.ToString();
 
   ASSERT_NE(db.trace(), nullptr);
   const Schedule alpha = db.trace()->Snapshot();
@@ -252,8 +257,9 @@ TEST(OccTest, TracedOccValidatesUnderChecker) {
 }
 
 // A traced stale commit must leave a well-formed trace too: the failed
-// replay aborts the transaction, and the checker accepts the schedule
-// in which it simply never commits.
+// validation aborts the transaction before any of its accesses are
+// stamped, and the checker accepts the schedule in which it simply
+// never commits.
 TEST(OccTest, TracedStaleCommitAbortsCleanly) {
   EngineOptions o = OccOptions();
   Database db(o);

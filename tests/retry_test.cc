@@ -415,8 +415,20 @@ TEST_F(RetryTest, EnableFromSpecParsesGrammar) {
   EXPECT_EQ(FailPoints::EnableFromSpec("bogus:delay_one_in=1"), 0);
   EXPECT_EQ(FailPoints::EnableFromSpec("lock_grant:nonsense=1"), 0);
   EXPECT_EQ(FailPoints::EnableFromSpec("lock_grant:delay_one_in=xyz"), 0);
+  // Values strtoull would wrap or default: wider than the 32-bit field
+  // (2^32 + 1 would truncate to a 1-in-1 rate), signed, and empty.
+  EXPECT_EQ(FailPoints::EnableFromSpec(
+                "lock_grant:deadlock_one_in=4294967297"),
+            0);
+  EXPECT_EQ(FailPoints::EnableFromSpec("lock_grant:delay_one_in=-1"), 0);
+  EXPECT_EQ(FailPoints::EnableFromSpec("lock_grant:delay_us="), 0);
   EXPECT_FALSE(FailPoints::Armed(FailPoints::kLockGrant));
   EXPECT_EQ(FailPoints::EnableFromSpec(""), 0);
+  // The seed keeps its full 64-bit range.
+  EXPECT_EQ(FailPoints::EnableFromSpec(
+                "begin_txn:delay_one_in=2,seed=18446744073709551615"),
+            1);
+  FailPoints::DisableAll();
 }
 
 TEST_F(RetryTest, SiteNamesRoundTripThroughSpec) {

@@ -411,8 +411,8 @@ int RunJsonMode() {
   }
   {
     // A/B control: the same full-stack repeat read with the lock word
-    // disabled — every key born inflated, so repeat reads take the
-    // mutex-protected reacquire path of the pre-lock-word engine.
+    // disabled — every key born inflated, so every repeat read takes
+    // the mutex grant path.
     EngineOptions o;
     o.lock_word_enabled = false;
     Database db(o);

@@ -27,11 +27,11 @@ namespace {
 //       MICRO on an inflated word.
 //   PRESENT — whether the value cache (KeyState::hot.value) holds a
 //       value or a deletion/absence; maintained together with the cache.
-//   seq — bumped on every holder-set insertion (both regimes) and
-//       on every fast-regime structural change, so an unchanged seq
-//       proves the Moss no-conflict condition still holds, and an
-//       unchanged *word* additionally proves the value cache is current
-//       (the seqlock read lane).
+//   seq — bumped on every fast-regime structural change (fast grants
+//       and releases, SetBase, OccCommit's install) and on deflation,
+//       never under ks.m on an inflated key. An unchanged *word* proves
+//       the holder sets are unchanged (the exact-word repeat lanes) and
+//       nothing was installed (OCC validation).
 constexpr uint64_t BumpSeq(uint64_t w) { return LockWordBumpSeq(w); }
 
 // Fast paths give up after this many failed tries for the MICRO bit;
@@ -289,8 +289,7 @@ void LockManager::EnsureInflatedLocked(KeyState& ks) {
   // the escalated word with MICRO clear: the acquire CAS pairs with the
   // last fast section's release store (so the plain structures are ours
   // under ks.m from here), and the release store pairs with every later
-  // fast-path load that sees INFLATED and bails. The seq is preserved —
-  // handles granted in the fast regime stay seq-valid across inflation.
+  // fast-path load that sees INFLATED and bails.
   const uint64_t w = AcquireMicroLocked(ks);
   ks.hot.word.store(w | kWordInflated, std::memory_order_release);
   stats_->Add(kStatLockWordInflations);
@@ -425,8 +424,6 @@ void LockManager::UnparkWaiter(const TransactionId& txn,
 Status LockManager::WaitForGrant(KeyState& ks,
                                  std::unique_lock<std::mutex>& lk,
                                  const TransactionId& txn, bool exclusive) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.lock_timeout;
   bool waited = false;
   bool registered = false;
   bool parked = false;
@@ -444,13 +441,15 @@ Status LockManager::WaitForGrant(KeyState& ks,
   // the pre-park refusal, the deadline branch), so every wake resolves
   // to exactly one outcome and one counter whichever notification lands
   // first.
-  // Wait-latency accounting, armed only once this request actually
-  // parks (wait_start_ns below) so the no-conflict grant path never
-  // reads the clock. Every exit — grant, deadlock, timeout,
-  // cancellation, injected fault — holds ks.m, so the per-key counters
-  // need no extra locking; the thread-local counters feed the sampled
-  // span of the transaction driving this (synchronous) call.
+  // Wait-latency accounting and the lock_timeout deadline, both taken
+  // from one clock read when this request first parks, so the
+  // no-conflict grant path never reads the clock. Every exit — grant,
+  // deadlock, timeout, cancellation, injected fault — holds ks.m, so the
+  // per-key counters need no extra locking; the thread-local counters
+  // feed the sampled span of the transaction driving this (synchronous)
+  // call.
   uint64_t wait_start_ns = 0;
+  std::chrono::steady_clock::time_point deadline;
   auto record_wait = MakeCleanup([&] {
     if (!waited) return;
     const uint64_t elapsed = MonotonicNowNs() - wait_start_ns;
@@ -494,6 +493,9 @@ Status LockManager::WaitForGrant(KeyState& ks,
     if (!waited) {
       waited = true;
       wait_start_ns = MonotonicNowNs();
+      deadline = std::chrono::steady_clock::time_point(
+                     std::chrono::nanoseconds(wait_start_ns)) +
+                 options_.lock_timeout;
       stats_->Add(kStatLockWaits);
     }
     if (!parked) {
@@ -622,34 +624,47 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
 Result<std::optional<int64_t>> LockManager::AcquireRead(
     const TransactionId& txn, const std::string& key,
     const AccessTraceInfo* trace, HeldLock* held) {
-  KeyState& ks = GetKeyState(key);
+  return Grant(GetKeyState(key), txn, nullptr, trace, held);
+}
+
+Result<std::optional<int64_t>> LockManager::AcquireWrite(
+    const TransactionId& txn, const std::string& key,
+    const Mutator& mutator, const AccessTraceInfo* trace, HeldLock* held) {
+  return Grant(GetKeyState(key), txn, &mutator, trace, held);
+}
+
+Result<std::optional<int64_t>> LockManager::Grant(
+    KeyState& ks, const TransactionId& txn, const Mutator* mutator,
+    const AccessTraceInfo* trace, HeldLock* held) {
+  const bool exclusive = mutator != nullptr;
   if (FastLanesEnabled()) {
+    // A stale or write-only handle on a (possibly still) uninflated key
+    // retries as a fast cold grant too: a sibling reader moving the seq
+    // must not escalate read-read sharing to the mutex path.
     Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/false, nullptr, held,
-                       &result)) {
+    if (TryFastAcquire(ks, txn, exclusive, mutator, held, &result)) {
       return result;
     }
   }
-  return AcquireReadOn(ks, txn, trace, held);
-}
-
-Result<std::optional<int64_t>> LockManager::AcquireReadOn(
-    KeyState& ks, const TransactionId& txn, const AccessTraceInfo* trace,
-    HeldLock* held) {
   std::unique_lock<std::mutex> lk(ks.m);
-  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, /*exclusive=*/false));
+  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, exclusive));
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
   FailPoints::MaybeDelay(FailPoints::kLockGrant);
-  if (ks.read_holders.Insert(txn)) {
-    ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                  std::memory_order_relaxed);
+  // The key is inflated now, so the insert owes no seq bump: INFLATED
+  // alone keeps every handle off the exact-word lanes.
+  std::optional<int64_t> value;
+  if (exclusive) {
+    value = (*mutator)(CurrentValue(ks));
+    (void)ks.write_holders.Put(txn, value);
+    stats_->Add2(kStatLockGrants, kStatWrites);
+  } else {
+    (void)ks.read_holders.Insert(txn);
+    value = CurrentValue(ks);
+    stats_->Add2(kStatLockGrants, kStatReads);
   }
-  stats_->Add2(kStatLockGrants, kStatReads);
-  const std::optional<int64_t> value = CurrentValue(ks);
   if (held != nullptr) {
-    *held = HeldLock{&ks, &ks.hot,
-                     ks.hot.word.load(std::memory_order_relaxed),
-                     /*read=*/true,
+    *held = HeldLock{&ks, &ks.hot, ks.hot.word.load(std::memory_order_relaxed),
+                     /*read=*/ks.read_holders.Contains(txn),
                      /*write=*/ks.write_holders.Contains(txn)};
   }
   if (recorder_ != nullptr && trace != nullptr) {
@@ -660,128 +675,11 @@ Result<std::optional<int64_t>> LockManager::AcquireReadOn(
   return value;
 }
 
-Result<std::optional<int64_t>> LockManager::AcquireWrite(
-    const TransactionId& txn, const std::string& key,
-    const Mutator& mutator, const AccessTraceInfo* trace, HeldLock* held) {
-  KeyState& ks = GetKeyState(key);
-  if (FastLanesEnabled()) {
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/true, &mutator, held,
-                       &result)) {
-      return result;
-    }
-  }
-  return AcquireWriteOn(ks, txn, mutator, trace, held);
-}
-
-Result<std::optional<int64_t>> LockManager::AcquireWriteOn(
-    KeyState& ks, const TransactionId& txn, const Mutator& mutator,
-    const AccessTraceInfo* trace, HeldLock* held) {
-  std::unique_lock<std::mutex> lk(ks.m);
-  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, /*exclusive=*/true));
-  RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
-  FailPoints::MaybeDelay(FailPoints::kLockGrant);
-  const std::optional<int64_t> current = CurrentValue(ks);
-  const std::optional<int64_t> next = mutator(current);
-  if (ks.write_holders.Put(txn, next)) {
-    ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                  std::memory_order_relaxed);
-  }
-  stats_->Add2(kStatLockGrants, kStatWrites);
-  if (held != nullptr) {
-    *held = HeldLock{&ks, &ks.hot,
-                     ks.hot.word.load(std::memory_order_relaxed),
-                     /*read=*/ks.read_holders.Contains(txn),
-                     /*write=*/true};
-  }
-  if (recorder_ != nullptr && trace != nullptr) {
-    recorder_->EmitAccess(ks.key, *trace, next.value_or(kAbsentValue));
-  }
-  return next;
-}
-
-bool LockManager::TryReacquireRead(HeldLock& held, const TransactionId& txn,
-                                   const AccessTraceInfo* trace,
-                                   Result<std::optional<int64_t>>* result) {
-  if (!held.read && !held.write) return false;
-  KeyState& ks = *held.key;
-  std::unique_lock<std::mutex> lk(ks.m);
-  EnsureInflatedLocked(ks);
-  if ((ks.hot.word.load(std::memory_order_relaxed) & kWordSeqMask) !=
-      (held.word & kWordSeqMask)) {
-    return false;
-  }
-  // Seq unchanged since our grant: no holder has been added, so every
-  // write holder is still an ancestor of txn — the read is conflict-free.
-  if (!held.read) {
-    // Re-read under a write-only hold still registers the read lock,
-    // exactly as the full path would.
-    if (ks.read_holders.Insert(txn)) {
-      ks.hot.word.store(BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-                    std::memory_order_relaxed);
-    }
-    held.read = true;
-  }
-  held.word = ks.hot.word.load(std::memory_order_relaxed);
-  stats_->Add2(kStatLockGrants, kStatReads);
-  const std::optional<int64_t> value = CurrentValue(ks);
-  if (recorder_ != nullptr && trace != nullptr) {
-    recorder_->EmitAccess(ks.key, *trace, value.value_or(kAbsentValue));
-  }
-  *result = value;
-  return true;
-}
-
-bool LockManager::TryReacquireWrite(HeldLock& held, const TransactionId& txn,
-                                    const Mutator& mutator,
-                                    const AccessTraceInfo* trace,
-                                    Result<std::optional<int64_t>>* result) {
-  if (!held.write) return false;
-  KeyState& ks = *held.key;
-  std::unique_lock<std::mutex> lk(ks.m);
-  EnsureInflatedLocked(ks);
-  if ((ks.hot.word.load(std::memory_order_relaxed) & kWordSeqMask) !=
-      (held.word & kWordSeqMask)) {
-    return false;
-  }
-  // Seq unchanged since our write grant: txn is still the deepest
-  // holder and nobody new joined — the write is conflict-free.
-  const std::optional<int64_t> current = CurrentValue(ks);
-  const std::optional<int64_t> next = mutator(current);
-  (void)ks.write_holders.Put(txn, next);  // held: assign, never insert
-  held.word = ks.hot.word.load(std::memory_order_relaxed);
-  stats_->Add2(kStatLockGrants, kStatWrites);
-  if (recorder_ != nullptr && trace != nullptr) {
-    recorder_->EmitAccess(ks.key, *trace, next.value_or(kAbsentValue));
-  }
-  *result = next;
-  return true;
-}
-
-Result<std::optional<int64_t>> LockManager::ReacquireReadCold(
-    HeldLock& held, const TransactionId& txn, const AccessTraceInfo* trace) {
-  if (FastLanesEnabled()) {
-    KeyState& ks = *held.key;
-    // The inline seqlock lane (header) already missed. Stale or
-    // write-only handle on a (possibly still) uninflated key: retry as a
-    // fast cold grant — a sibling reader moving the seq must not
-    // escalate read-read sharing to the mutex path.
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/false, nullptr, &held,
-                       &result)) {
-      return result;
-    }
-  }
-  Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-  if (TryReacquireRead(held, txn, trace, &result)) return result;
-  return AcquireReadOn(*held.key, txn, trace, &held);
-}
-
 Result<std::optional<int64_t>> LockManager::ReacquireWrite(
     HeldLock& held, const TransactionId& txn, const Mutator& mutator,
     const AccessTraceInfo* trace) {
+  KeyState& ks = *held.key;
   if (FastLanesEnabled()) {
-    KeyState& ks = *held.key;
     // Held-write lane: one CAS from the exact granted word to word|MICRO
     // proves the holder sets are untouched and txn is still the deepest
     // writer; mutate its slot and the value cache in place. The word
@@ -807,15 +705,8 @@ Result<std::optional<int64_t>> LockManager::ReacquireWrite(
         return next;
       }
     }
-    Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, /*exclusive=*/true, &mutator, &held,
-                       &result)) {
-      return result;
-    }
   }
-  Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-  if (TryReacquireWrite(held, txn, mutator, trace, &result)) return result;
-  return AcquireWriteOn(*held.key, txn, mutator, trace, &held);
+  return Grant(ks, txn, &mutator, trace, &held);
 }
 
 // Batch-local bookkeeping: counters accumulated while key mutexes (or
@@ -834,86 +725,63 @@ struct LockManager::ReleaseScratch {
     changed.clear();
   }
 
-  // A holder-set change on `ks` wants its waiters woken. Dual-mode
-  // (read+write) holders request twice per key; the dedupe coalesces
-  // them to one notify.
-  void PendWakeup(KeyState* ks) {
-    ++notify_requests;
+  // Holder-set changes on `ks` want its waiters woken, one request per
+  // changed mode. Dual-mode (read+write) holders request twice per key;
+  // the dedupe coalesces them to one notify.
+  void PendWakeup(KeyState* ks, uint64_t requests) {
+    notify_requests += requests;
     if (std::find(changed.begin(), changed.end(), ks) == changed.end()) {
       changed.push_back(ks);
     }
   }
 };
 
-void LockManager::CommitKeyLocked(KeyState& ks, const TransactionId& txn,
-                                  const TransactionId& parent,
-                                  ReleaseScratch& scratch) {
-  // Stretch the inherit window while holders pile up on ks.cv — the
-  // commit-side race surface the storm tests lean on.
-  FailPoints::MaybeDelay(FailPoints::kCommitInherit);
-  bool changed = false;
-  // Each released mode requests a wakeup, but only if some thread is
-  // actually parked on this key — the waiter-count handshake (see
-  // KeyState::waiters) makes the skip lossless. A dual-mode holder's two
-  // requests are coalesced to one notify in phase 2.
-  if (parent.IsRoot()) {
+void LockManager::ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
+                                   const TransactionId* parent,
+                                   ReleaseScratch& scratch) {
+  // Stretch the inherit or purge window while holders pile up on ks.cv —
+  // the release-side race surface the storm tests lean on.
+  FailPoints::MaybeDelay(parent != nullptr ? FailPoints::kCommitInherit
+                                           : FailPoints::kAbortPurge);
+  uint64_t modes = 0;  // holder modes (write, read) this release changed
+  if (parent == nullptr) {
+    // Abort: discard entries of txn and (defensively) any stray
+    // descendants.
+    const auto in_subtree = [&](const TransactionId& id) {
+      return txn.IsAncestorOf(id);
+    };
+    const size_t writes = ks.write_holders.EraseIf(in_subtree);
+    scratch.discarded += writes;  // each write holder owned one version slot
+    modes = (writes > 0) + (ks.read_holders.EraseIf(in_subtree) > 0);
+  } else if (parent->IsRoot()) {
     // Top-level commit: release the locks, install the version as base.
     if (auto version = ks.write_holders.TryTake(txn)) {
       ks.base = *version;
-      ++scratch.inherited;
-      if (ks.waiters > 0) scratch.PendWakeup(&ks);
-      changed = true;
+      ++modes;
     }
-    if (ks.read_holders.Erase(txn)) {
-      ++scratch.inherited;
-      if (ks.waiters > 0) scratch.PendWakeup(&ks);
-      changed = true;
-    }
+    modes += ks.read_holders.Erase(txn);
   } else {
     // Subtransaction commit: the parent takes the child's place — and
-    // inherits its version — in one sorted-vector pass per mode. A
-    // kReplaced outcome makes the parent a new holder, which bumps the
-    // seq (fast-lane fence).
+    // inherits its version — in one sorted-vector pass per mode.
     for (const ReplaceOutcome outcome :
-         {ks.write_holders.ReplaceWithAncestor(txn, parent),
-          ks.read_holders.ReplaceWithAncestor(txn, parent)}) {
-      if (outcome == ReplaceOutcome::kAbsent) continue;
-      if (outcome == ReplaceOutcome::kReplaced) {
-        ks.hot.word.store(
-            BumpSeq(ks.hot.word.load(std::memory_order_relaxed)),
-            std::memory_order_relaxed);
-      }
-      ++scratch.inherited;
-      if (ks.waiters > 0) scratch.PendWakeup(&ks);
-      changed = true;
+         {ks.write_holders.ReplaceWithAncestor(txn, *parent),
+          ks.read_holders.ReplaceWithAncestor(txn, *parent)}) {
+      modes += outcome != ReplaceOutcome::kAbsent;
     }
   }
-  if (changed && recorder_ != nullptr) {
-    // Emitted under ks.m at the instant of the state change, so the
-    // per-object event order is the enforced order (header comment).
-    recorder_->Emit(Event::InformCommitAt(recorder_->ObjectFor(ks.key), txn));
-  }
-}
-
-void LockManager::AbortKeyLocked(KeyState& ks, const TransactionId& txn,
-                                 ReleaseScratch& scratch) {
-  // Stretch the purge window (see CommitKeyLocked).
-  FailPoints::MaybeDelay(FailPoints::kAbortPurge);
-  // Discard entries of txn and (defensively) any stray descendants.
-  const auto in_subtree = [&](const TransactionId& id) {
-    return txn.IsAncestorOf(id);
-  };
-  const size_t writes = ks.write_holders.EraseIf(in_subtree);
-  const size_t reads = ks.read_holders.EraseIf(in_subtree);
-  scratch.discarded += writes;  // each write holder owned one version slot
-  if (ks.waiters > 0) {
-    if (writes > 0) scratch.PendWakeup(&ks);
-    if (reads > 0) scratch.PendWakeup(&ks);
-  }
-  if (recorder_ != nullptr) {
-    // Informed even when no lock was held (the model's generic
-    // scheduler may inform any object of any abort).
-    recorder_->Emit(Event::InformAbortAt(recorder_->ObjectFor(ks.key), txn));
+  if (parent != nullptr) scratch.inherited += modes;
+  // Wakeups only if some thread is actually parked on this key — the
+  // waiter-count handshake (see KeyState::waiters) makes the skip
+  // lossless.
+  if (modes > 0 && ks.waiters > 0) scratch.PendWakeup(&ks, modes);
+  // Emitted under ks.m at the instant of the state change, so the
+  // per-object event order is the enforced order (header comment). An
+  // abort is informed even when no lock was held (the model's generic
+  // scheduler may inform any object of any abort).
+  if (recorder_ != nullptr && (modes > 0 || parent == nullptr)) {
+    const ObjectId x = recorder_->ObjectFor(ks.key);
+    recorder_->Emit(parent != nullptr ? Event::InformCommitAt(x, txn)
+                                      : Event::InformAbortAt(x, txn));
   }
 }
 
@@ -1000,11 +868,7 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
     if (fast && TryFastRelease(ks, txn, parent, scratch)) continue;
     std::lock_guard<std::mutex> lock(ks.m);
     EnsureInflatedLocked(ks);
-    if (parent != nullptr) {
-      CommitKeyLocked(ks, txn, *parent, scratch);
-    } else {
-      AbortKeyLocked(ks, txn, scratch);
-    }
+    ReleaseKeyLocked(ks, txn, parent, scratch);
     MaybeDeflateLocked(ks);
   }
 
@@ -1093,9 +957,8 @@ Result<std::optional<int64_t>> LockManager::OccReadKey(const std::string& key,
     const uint64_t w1 = ks.hot.word.load(std::memory_order_acquire);
     if (w1 & kWordInflated) {
       // In the inflated regime the seq is not a validation version
-      // (holder removals and top-level installs don't bump it). Nothing
-      // inflates a key in an OCC engine, so this only guards the word
-      // discipline.
+      // (nothing under ks.m bumps it). Nothing inflates a key in an OCC
+      // engine, so this only guards the word discipline.
       stats_->Add(kStatOccValidationAborts);
       return Status::Aborted(
           StrCat("optimistic read of a locked (inflated) key: ", key));

@@ -38,27 +38,17 @@
 // births every key inflated, recovering the pure-mutex manager.
 //
 // Hot-path fast lane: a successful acquire can hand back a HeldLock
-// handle {key state, word snapshot, held modes}. Re-acquiring under a
-// still-sufficient held lock (Reacquire*) skips the key lookup, the
-// wait/conflict scan and the holder-set insert. Safety: the seq field is
-// bumped on every holder-set *insertion* (and, in the fast regime, on
-// every structural change); if the seq is unchanged since the handle's
-// grant, no transaction has acquired the key since, so by Moss's rule
-// the no-conflict condition that held at grant time still holds (holder
-// removals can only shrink the conflict set, and an active transaction's
-// own locks are never removed — ancestors outlive descendants). On a
-// mismatch Reacquire* falls back to the full grant path on the same key
-// state. The seqlock read lane needs the stronger exact-word match: an
-// unchanged word also proves the value cache is the value this reader
-// observes.
-//
-// The argument extends to handles inherited up the commit chain (a
-// committing child hands its cached handles to its parent): on a seq
-// match, every write holder was an ancestor of the handle's original
-// owner O. A holder that is not also an ancestor of the reusing ancestor
-// P would have to lie strictly between P and O; for the handle to have
-// reached P, every transaction on that path has committed — which erased
-// it from the holder sets. So the no-conflict condition holds for P too.
+// handle {key state, word snapshot, held modes}. Re-acquiring under it
+// (Reacquire*) skips the key lookup, and two repeat lanes skip the grant
+// too: the seqlock read lane and the held-write CAS lane. Both need the
+// exact granted word, and an inflated word never qualifies (nothing under
+// ks.m moves the word, so that test alone keeps the lanes off the
+// unmaintained value cache of an inflated key). The fast regime bumps the
+// seq on every structural change, inflation sets INFLATED and deflation
+// bumps the seq, so an exact match proves the holder sets are as granted;
+// the value cache is then the value this owner observes (only a write
+// holder, the owner or an ancestor, can rewrite it in place). Every miss
+// takes the one grant path (Grant), which checks Moss's rule again.
 //
 // Key lookup (disjoint-access parallelism, DESIGN.md §5): the lock table
 // is a fixed set of shards, each an insert-only open-addressing array of
@@ -175,9 +165,9 @@ class LockManager {
 
   /// Handle to a lock this owner was granted on a key: which modes were
   /// held and a snapshot of the key's lock word at grant time. An exact
-  /// word match admits the mutex-free seqlock read lane; a seq-field
-  /// match admits the inflated-regime repeat lane. Valid for the
-  /// lifetime of the LockManager; trivially copyable.
+  /// word match admits the repeat lanes; a handle granted on an inflated
+  /// key carries INFLATED and admits none. Valid for the lifetime of the
+  /// LockManager; trivially copyable.
   struct HeldLock {
     KeyState* key = nullptr;
     LockWordPair* hot = nullptr;  // &key->hot, set by every grant
@@ -214,8 +204,8 @@ class LockManager {
 
   /// Re-acquire a read lock on the key of `held`, which must come from a
   /// prior successful acquire by the same `txn` on this manager. Takes the
-  /// fast lane when the held lock is still sufficient, else the full
-  /// grant path on the same key. Updates `held` in place.
+  /// seqlock lane when the word is exactly as granted, else the grant
+  /// path on the same key. Updates `held` in place.
   ///
   /// Inline seqlock lane — THE repeat-read hot path: an exact word match
   /// (which implies INFLATED and MICRO clear), re-validated after reading
@@ -230,7 +220,7 @@ class LockManager {
       const AccessTraceInfo* trace = nullptr) {
     std::optional<int64_t> v;
     if (TryFastReadLane(held, &v)) return v;
-    return ReacquireReadCold(held, txn, trace);
+    return Grant(*held.key, txn, nullptr, trace, &held);
   }
 
   /// Whether the seqlock read lane can hit at all right now (lock word
@@ -329,10 +319,10 @@ class LockManager {
   /// cache, zero shared-state writes on the hit path. Fills `entry` with
   /// the exact word OccCommit will validate. An INFLATED key fails with a
   /// retryable Status::Aborted counted under occ_validation_aborts: in
-  /// the inflated regime holder removals and top-level installs do NOT
-  /// bump the seq, so no inflated word can serve as a validation version
-  /// (DESIGN §4.9). Nothing in an OCC engine inflates a key, so this is
-  /// a guard, not a path. Requires lock_word_enabled.
+  /// the inflated regime nothing bumps the seq, so no inflated word can
+  /// serve as a validation version (DESIGN §4.9). Nothing in an OCC
+  /// engine inflates a key, so this is a guard, not a path. Requires
+  /// lock_word_enabled.
   Result<std::optional<int64_t>> OccReadKey(const std::string& key,
                                             OccReadEntry* entry);
 
@@ -470,10 +460,15 @@ class LockManager {
   // mutex and makes no store (see "Key lookup" in the header comment).
   KeyState& GetKeyState(const std::string& key);
 
-  // Cold tail of ReacquireRead (everything past the inline seqlock lane):
-  // fast cold-grant retry, inflated-regime repeat lane, full grant path.
-  Result<std::optional<int64_t>> ReacquireReadCold(
-      HeldLock& held, const TransactionId& txn, const AccessTraceInfo* trace);
+  // The one grant path behind AcquireRead/Write and every Reacquire*
+  // miss (`mutator` null means read): the one-CAS fast grant when the
+  // lanes are on, else wait for the grant under ks.m, which inflates the
+  // key and checks Moss's rule, then insert the holder and emit the
+  // access's trace group there.
+  Result<std::optional<int64_t>> Grant(KeyState& ks, const TransactionId& txn,
+                                       const Mutator* mutator,
+                                       const AccessTraceInfo* trace,
+                                       HeldLock* held);
 
   // Doom-registry scan behind IsDoomed's inline nothing-doomed exit.
   bool IsDoomedSlow(const TransactionId& txn) const;
@@ -524,35 +519,12 @@ class LockManager {
   void ReleaseBatch(const TransactionId& txn, const TransactionId* parent,
                     size_t n, const KeyOf& key_of, const HeldOf& held_of);
 
-  // Per-key commit/abort bodies; caller holds ks.m on an inflated key.
-  // They mutate holder sets/versions, emit the INFORM_*_AT trace event,
-  // and record counter and wakeup intents in `scratch` — no locking, no
-  // notifying.
-  void CommitKeyLocked(KeyState& ks, const TransactionId& txn,
-                       const TransactionId& parent, ReleaseScratch& scratch);
-  void AbortKeyLocked(KeyState& ks, const TransactionId& txn,
-                      ReleaseScratch& scratch);
-
-  // Full grant paths on an already-resolved key state.
-  Result<std::optional<int64_t>> AcquireReadOn(KeyState& ks,
-                                               const TransactionId& txn,
-                                               const AccessTraceInfo* trace,
-                                               HeldLock* held);
-  Result<std::optional<int64_t>> AcquireWriteOn(KeyState& ks,
-                                                const TransactionId& txn,
-                                                const Mutator& mutator,
-                                                const AccessTraceInfo* trace,
-                                                HeldLock* held);
-
-  // Inflated-regime repeat lanes; return false (without side effects)
-  // when the held lock is insufficient or the seq field moved.
-  bool TryReacquireRead(HeldLock& held, const TransactionId& txn,
-                        const AccessTraceInfo* trace,
-                        Result<std::optional<int64_t>>* result);
-  bool TryReacquireWrite(HeldLock& held, const TransactionId& txn,
-                         const Mutator& mutator,
-                         const AccessTraceInfo* trace,
-                         Result<std::optional<int64_t>>* result);
+  // The one release body for an inflated key; caller holds ks.m. Applies
+  // INFORM_COMMIT_AT (commit when parent != nullptr) or INFORM_ABORT_AT,
+  // emits that event, and records counter and wakeup intents in
+  // `scratch` — no locking, no notifying.
+  void ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
+                        const TransactionId* parent, ReleaseScratch& scratch);
 
   // The value txn observes: deepest write holder's version, else base.
   // Caller holds ks.m (inflated) or the micro bit (uninflated).

@@ -94,8 +94,8 @@ class Harness {
   }
 
   // Holder sets, versions, base and epoch must agree on every key the
-  // replay touched. (Epochs agree too: both paths perform the identical
-  // sequence of holder-set insertions per key.)
+  // replay touched. (Epochs agree too: both managers run the same
+  // operations per key, so they make the same seq changes.)
   void ExpectSnapshotsEqual() {
     for (const std::string& key : keys_) {
       const LockManager::KeySnapshotForTest b =

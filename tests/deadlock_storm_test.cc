@@ -228,7 +228,7 @@ TEST_F(DeadlockStormTest, FailpointCommitReleaseStorm) {
   StormSpec spec;
   spec.txns_per_thread = 60 * StressScale();
   spec.nested = true;
-  spec.voluntary_abort_p = 0.2;  // aborted children exercise AbortKeyLocked
+  spec.voluntary_abort_p = 0.2;  // aborted children exercise ReleaseKeyLocked
   StormOutcome out = RunStorm(db, spec);
   EXPECT_EQ(out.gave_up, 0u);
   CheckDrained(db, spec, out);

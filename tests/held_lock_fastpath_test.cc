@@ -1,7 +1,8 @@
 // The held-lock fast lane must be invisible except for speed: re-reads
 // and re-writes under held locks return exactly the values the full
 // grant path would, emit exactly the same trace events, and never serve
-// a stale value after the key's holder set has changed (the epoch check).
+// a stale value after the key's holder set has changed (the exact-word
+// check).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -88,8 +89,9 @@ TEST(HeldLockFastPathTest, FastPathEmitsIdenticalTraceEvents) {
 }
 
 // The fast-lane contract must hold identically with the lock word
-// disabled (every key born inflated, mutex-regime reacquire lanes):
-// the same repeat-access scenario, same values, no fast-word counters.
+// disabled (every key born inflated, every repeat access through the
+// grant path): the same repeat-access scenario, same values, no
+// fast-word counters.
 TEST(HeldLockFastPathTest, RepeatAccessParityWithLockWordDisabled) {
   EngineOptions o;
   o.lock_word_enabled = false;
@@ -109,6 +111,70 @@ TEST(HeldLockFastPathTest, RepeatAccessParityWithLockWordDisabled) {
   const StatsSnapshot snap = db.stats().Snapshot();
   EXPECT_EQ(snap.fast_read_reacquires + snap.fast_write_reacquires, 0u)
       << snap.ToString();
+}
+
+// The same contract with the lock word on, on a key a conflict inflated
+// while t holds it: every repeat access misses the exact-word lanes and
+// takes the grant path, and a committed and an aborted child's writes
+// land exactly as the serial semantics say.
+TEST(HeldLockFastPathTest, RepeatAccessOnEscalatedKeyMatchesSerialSemantics) {
+  Database db(ShortTimeoutOptions());
+  db.Preload("k", 5);
+  LockManager& locks = db.manager().locks();
+  auto t = db.Begin();
+  auto w0 = t->Add("k", 1);  // fast write grant
+  ASSERT_TRUE(w0.ok());
+  ASSERT_EQ(*w0, 6);
+  EXPECT_FALSE(locks.SnapshotKeyForTest("k").inflated);
+
+  auto sibling = db.Begin();
+  auto blocked = sibling->TryGet("k");  // parks on t's write, times out
+  EXPECT_TRUE(blocked.status().IsTimedOut()) << blocked.status().ToString();
+  ASSERT_TRUE(sibling->Abort().ok());
+  ASSERT_TRUE(locks.SnapshotKeyForTest("k").inflated);
+
+  const StatsSnapshot before = db.stats().Snapshot();
+  for (int i = 0; i < 50; ++i) {
+    auto v = t->TryGet("k");
+    ASSERT_TRUE(v.ok());
+    ASSERT_EQ(**v, 6 + i);
+    auto w = t->Add("k", 1);
+    ASSERT_TRUE(w.ok());
+    ASSERT_EQ(*w, 6 + i + 1);
+    ASSERT_TRUE(locks.SnapshotKeyForTest("k").inflated) << "iteration " << i;
+  }
+
+  auto committed = t->BeginChild();
+  ASSERT_TRUE(committed.ok());
+  auto wc = (*committed)->Add("k", 10);
+  ASSERT_TRUE(wc.ok());
+  ASSERT_EQ(*wc, 66);
+  ASSERT_TRUE((*committed)->Commit().ok());  // version passes to t
+  auto v1 = t->TryGet("k");
+  ASSERT_TRUE(v1.ok());
+  EXPECT_EQ(**v1, 66);
+
+  auto aborted = t->BeginChild();
+  ASSERT_TRUE(aborted.ok());
+  auto wa = (*aborted)->Add("k", 100);
+  ASSERT_TRUE(wa.ok());
+  ASSERT_EQ(*wa, 166);
+  ASSERT_TRUE((*aborted)->Abort().ok());  // version discarded
+  auto v2 = t->TryGet("k");
+  ASSERT_TRUE(v2.ok());
+  EXPECT_EQ(**v2, 66);
+  auto w2 = t->Add("k", 1);
+  ASSERT_TRUE(w2.ok());
+  EXPECT_EQ(*w2, 67);
+
+  const StatsSnapshot after = db.stats().Snapshot();
+  EXPECT_EQ(after.fast_read_reacquires, before.fast_read_reacquires);
+  EXPECT_EQ(after.fast_write_reacquires, before.fast_write_reacquires);
+  EXPECT_TRUE(locks.SnapshotKeyForTest("k").inflated);
+
+  ASSERT_TRUE(t->Commit().ok());
+  EXPECT_FALSE(locks.SnapshotKeyForTest("k").inflated);  // quiesced
+  EXPECT_EQ(db.ReadCommitted("k"), std::optional<int64_t>(67));
 }
 
 // Deterministic invalidation: a committing child's write bumps the key's

@@ -11,10 +11,13 @@
 // hash, conflict scan and holder-set insert.
 //
 // Run with --json to skip google-benchmark and instead write the micro
-// results to BENCH_bench_lock_manager.json (see README "Benchmarks").
+// results to BENCH_bench_lock_manager.json (see README "Benchmarks"),
+// plus one memory row: the lock table's resident bytes per preloaded key.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 
 #include "bench_json.h"
 #include "core/database.h"
@@ -355,9 +358,40 @@ void AddCommitFanoutRows(bench::JsonResultFile& out) {
   }
 }
 
+// Resident set size of this process, from /proc/self/statm (0 where
+// that file is missing).
+double ResidentBytes() {
+  long pages = 0;
+  long resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return double(resident) * double(sysconf(_SC_PAGESIZE));
+}
+
+// Memory row: RSS growth across building a fresh Database and preloading
+// 2^18 keys, per key. It runs first, before any other row has grown and
+// freed the heap, and keeps its full key count in smoke mode: it is a
+// size, not a timing. The key names are built before the first reading.
+void AddPreloadMemoryRow(bench::JsonResultFile& out) {
+  constexpr size_t kKeys = size_t{1} << 18;
+  std::vector<std::string> names;
+  names.reserve(kKeys);
+  for (size_t k = 0; k < kKeys; ++k) names.push_back(StrCat("k", k));
+  const double before = ResidentBytes();
+  Database db;
+  for (const std::string& k : names) db.Preload(k, 0);
+  const double grown = ResidentBytes() - before;
+  out.Add("preload_bytes_per_key")
+      .Int("keys", kKeys)
+      .Num("bytes_per_key", grown / double(kKeys));
+}
+
 int RunJsonMode() {
   using bench::JsonResultFile;
   JsonResultFile out("bench_lock_manager");
+  AddPreloadMemoryRow(out);
 
   {
     const TransactionId base = TransactionId::Root().Child(3).Child(1);

@@ -30,19 +30,30 @@
 // seqlock validation (two relaxed-cost atomic loads around the value
 // cache, no store at all). On any conflict, would-be-waiter arrival, or
 // Moss event the word cannot express (waiting, doom, tracing, armed
-// failpoints), the key *inflates*: a mutex-protected
-// slow-path entrant sets INFLATED under ks.m, after which fast paths
-// bail on sight and ks.m alone protects the key — exactly the original
-// design. A release that leaves a key with no holders and no waiters
-// *deflates* it back to the fast regime. `lock_word_enabled = false`
-// births every key inflated, recovering the pure-mutex manager.
+// failpoints), the key *inflates*: a slow-path entrant sets INFLATED
+// under the key mutex (its stripe's; see "Thin entries"), after which
+// fast paths bail on sight and the key mutex alone protects the key —
+// exactly the original design. A release that leaves a key with no
+// holders and no waiters *deflates* it back to the fast regime.
+// `lock_word_enabled = false` births every key inflated, recovering the
+// pure-mutex manager.
+//
+// Thin entries (Bacon et al.'s thin locks): the slow path's mutex,
+// condition variable and wait profile are not in the key's entry. Each
+// manager has a fixed table of cache-line-aligned stripes, and a key's
+// hash picks its stripe; throughout this file "the key mutex" is that
+// stripe's mutex, which the keys of one stripe share. No code holds two
+// key mutexes at once, so sharing adds no lock-order edge, and a shared
+// condition variable adds only spurious wakeups, which the wait loop
+// already re-checks. A key's own waiter count stays in its entry, so a
+// release still skips the notify when nobody waits on that key.
 //
 // Hot-path fast lane: a successful acquire can hand back a HeldLock
 // handle {key state, word snapshot, held modes}. Re-acquiring under it
 // (Reacquire*) skips the key lookup, and two repeat lanes skip the grant
 // too: the seqlock read lane and the held-write CAS lane. Both need the
 // exact granted word, and an inflated word never qualifies (nothing under
-// ks.m moves the word, so that test alone keeps the lanes off the
+// the key mutex moves the word, so that test alone keeps the lanes off the
 // unmaintained value cache of an inflated key). The fast regime bumps the
 // seq on every structural change, inflation sets INFLATED and deflation
 // bumps the seq, so an exact match proves the holder sets are as granted;
@@ -57,21 +68,24 @@
 // one acquire load of the shard's table pointer plus acquire loads while
 // probing — no mutex, no store, no RMW — so transactions on disjoint keys
 // share only lines that nobody writes. A miss takes the shard mutex,
-// probes the current table again, constructs the KeyState and publishes
-// it with a release store into its slot. Growth copies every entry into a
-// doubled table and publishes that with a release store of the shard's
-// table pointer. Why a reader needs no mutex:
+// probes the current table again, constructs the KeyState in the
+// manager's arena and publishes it with a release store into its slot.
+// The arena lays entries out in insertion order in 64-byte-aligned slabs,
+// two cache lines each. Growth rehashes the current table's slots, which
+// hold every entry of the shard, into a doubled table and publishes that
+// with a release store of the shard's table pointer. Why a reader needs
+// no mutex:
 //   - A slot changes exactly once, from null to a KeyState, and only
 //     after that KeyState is fully built. The release store that
 //     publishes it (into the slot, or of a grown table holding it) pairs
 //     with the reader's acquire load, so a reader that sees a pointer
 //     sees a complete KeyState.
-//   - Entries are never removed, and every outgrown table is kept until
-//     the manager is destroyed, so a reader still probing one reads live
-//     memory. An outgrown table is a subset of the current one: a hit
-//     there is the same KeyState, and a miss falls through to the locked
-//     path, which re-probes the current table before inserting. No key
-//     ever gets two KeyStates.
+//   - Entries are never removed, the arena never moves or frees one, and
+//     every outgrown table is kept until the manager is destroyed, so a
+//     reader still probing one reads live memory. An outgrown table is a
+//     subset of the current one: a hit there is the same KeyState, and a
+//     miss falls through to the locked path, which re-probes the current
+//     table before inserting. No key ever gets two KeyStates.
 //   - No table is ever more than half full, so every probe reaches an
 //     empty slot and stops.
 //
@@ -83,14 +97,14 @@
 // wake and no mutex to take); inflated keys apply the INFORM_COMMIT_AT /
 // INFORM_ABORT_AT state change (inherit or purge) under that key's
 // mutex and record which keys' holder sets changed; (2) with no key
-// mutex held, bump the batch's counters once and call cv.notify_all
-// once per changed key (duplicate notify requests — e.g. a dual-mode
-// read+write holder — are coalesced first). Wakeups are requested only
-// for keys with a parked waiter: each KeyState counts waiters under its mutex,
-// and since a waiter holds that mutex continuously from wake to
-// re-park, a releaser either sees it parked (and notifies) or the
-// waiter re-checks against the post-release state — the skip loses no
-// wakeup.
+// mutex held, bump the batch's counters once and call notify_all once
+// per stripe of a changed key (duplicate notify requests — e.g. a
+// dual-mode read+write holder, or two keys on one stripe — are coalesced
+// first). Wakeups are requested only for keys with a parked waiter: each
+// KeyState counts waiters under its key mutex, and since a waiter holds
+// that mutex continuously from wake to re-park, a releaser either sees
+// it parked (and notifies) or the waiter re-checks against the
+// post-release state — the skip loses no wakeup.
 //
 // Trace-order safety of the batching (Theorem 34): the recorded
 // per-object event order must be the order the lock manager enforced.
@@ -113,7 +127,6 @@
 #define NESTEDTX_CORE_LOCK_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -386,11 +399,11 @@ class LockManager {
   std::optional<int64_t> ReadBase(const std::string& key);
 
   /// Fuzzy whole-store scan of the committed base: emit(key, value) for
-  /// every key present at the moment its own mutex was taken. NOT a
+  /// every key present at the moment its key mutex was taken. NOT a
   /// consistent cut — commits proceed between keys — which is exactly
   /// the contract WriteAheadLog::Checkpoint wants (it repairs races
-  /// from the log). Same two-pass, no-nested-mutex discipline as
-  /// CollectHotKeys; never escalates a key out of the fast regime.
+  /// from the log). Collects the entries first, then takes one key mutex
+  /// at a time; never escalates a key out of the fast regime.
   void SnapshotBase(
       const std::function<void(const std::string&, int64_t)>& emit);
 
@@ -406,12 +419,16 @@ class LockManager {
   WaitGraph& wait_graph() { return *policy_->graph(); }
 
   /// Contention profiler: the `k` keys with the highest cumulative
-  /// lock-wait time (ties broken by key), from per-key counters the wait
-  /// path maintains under the key mutex. (Fast-word grants never wait and
-  /// never touch these counters, so the key mutex still owns them in both
-  /// regimes.) Scans the whole key table — export-time cost, not hot-path
-  /// cost.
+  /// lock-wait time (ties broken by key), from the per-key profiles the
+  /// wait path keeps in each key's stripe under the key mutex. Only keys
+  /// that ever waited have one (fast-word grants never wait). Takes each
+  /// stripe's mutex once and no per-key mutex — export-time cost, not
+  /// hot-path cost.
   std::vector<HotKey> CollectHotKeys(size_t k);
+
+  /// Test hook: the index of the stripe `key` maps to. Keys with equal
+  /// indices share a key mutex and a condition variable.
+  size_t StripeForTest(const std::string& key) const;
 
   /// Test hook: the conflict set Conflicts() would hand the wait graph
   /// for this request (exposes the holder-dedupe contract). Enumerates
@@ -462,9 +479,9 @@ class LockManager {
 
   // The one grant path behind AcquireRead/Write and every Reacquire*
   // miss (`mutator` null means read): the one-CAS fast grant when the
-  // lanes are on, else wait for the grant under ks.m, which inflates the
-  // key and checks Moss's rule, then insert the holder and emit the
-  // access's trace group there.
+  // lanes are on, else wait for the grant under the key mutex, which
+  // inflates the key and checks Moss's rule, then insert the holder and
+  // emit the access's trace group there.
   Result<std::optional<int64_t>> Grant(KeyState& ks, const TransactionId& txn,
                                        const Mutator* mutator,
                                        const AccessTraceInfo* trace,
@@ -479,13 +496,13 @@ class LockManager {
     return options_.lock_word_enabled && recorder_ == nullptr;
   }
 
-  // Escalate: caller holds ks.m. Acquires the micro bit (draining any
-  // in-flight fast section) and publishes the INFLATED word; no-op when
-  // already inflated. Every slow-path block that touches holder
-  // structures calls this right after locking ks.m.
+  // Escalate: caller holds the key mutex. Acquires the micro bit
+  // (draining any in-flight fast section) and publishes the INFLATED
+  // word; no-op when already inflated. Every slow-path block that touches
+  // holder structures calls this right after locking the key mutex.
   void EnsureInflatedLocked(KeyState& ks);
 
-  // De-escalate: caller holds ks.m. If the key is inflated, has no
+  // De-escalate: caller holds the key mutex. If the key is inflated, has no
   // holders and no parked waiters (and the fast lanes are enabled),
   // refresh the value cache from the base and clear INFLATED.
   void MaybeDeflateLocked(KeyState& ks);
@@ -519,25 +536,26 @@ class LockManager {
   void ReleaseBatch(const TransactionId& txn, const TransactionId* parent,
                     size_t n, const KeyOf& key_of, const HeldOf& held_of);
 
-  // The one release body for an inflated key; caller holds ks.m. Applies
-  // INFORM_COMMIT_AT (commit when parent != nullptr) or INFORM_ABORT_AT,
-  // emits that event, and records counter and wakeup intents in
-  // `scratch` — no locking, no notifying.
+  // The one release body for an inflated key; caller holds the key mutex.
+  // Applies INFORM_COMMIT_AT (commit when parent != nullptr) or
+  // INFORM_ABORT_AT, emits that event, and records counter and wakeup
+  // intents in `scratch` — no locking, no notifying.
   void ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
                         const TransactionId* parent, ReleaseScratch& scratch);
 
   // The value txn observes: deepest write holder's version, else base.
-  // Caller holds ks.m (inflated) or the micro bit (uninflated).
+  // Caller holds the key mutex (inflated) or the micro bit (uninflated).
   static std::optional<int64_t> CurrentValue(const KeyState& ks);
 
-  // Conflicting holders for the given request (caller holds ks.m on an
-  // inflated key, or the micro bit).
+  // Conflicting holders for the given request (caller holds the key
+  // mutex on an inflated key, or the micro bit).
   static std::vector<TransactionId> Conflicts(const KeyState& ks,
                                               const TransactionId& txn,
                                               bool exclusive);
 
-  // Block until no conflicts (or error). Caller holds `lk` on ks.m; the
-  // loop asserts inflation before reading any holder structure.
+  // Block until no conflicts (or error). Caller holds `lk` on the key
+  // mutex and parks on its stripe's condition variable; the loop asserts
+  // inflation before reading any holder structure.
   Status WaitForGrant(KeyState& ks, std::unique_lock<std::mutex>& lk,
                       const TransactionId& txn, bool exclusive);
 
@@ -557,25 +575,30 @@ class LockManager {
   WriteAheadLog* wal_ = nullptr;
 
   // The lock table: a fixed array of shards, each an insert-only
-  // open-addressing table (see "Key lookup" in the header comment).
-  // Defined in the .cc with the shard count.
+  // open-addressing table (see "Key lookup" in the header comment), the
+  // fixed stripe table that holds every key mutex, condition variable
+  // and wait profile (see "Thin entries"), and the arena that holds
+  // every KeyState. Defined in the .cc with their sizes.
   struct Shard;
+  struct Stripe;
+  class Arena;
   std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Stripe[]> stripes_;
+  std::unique_ptr<Arena> arena_;
 
   // The locked half of GetKeyState: re-probe under the shard mutex and,
   // on a second miss, construct and publish the key's KeyState.
   KeyState& InsertKeyState(Shard& shard, size_t hash, const std::string& key);
-  // Every KeyState, collected shard by shard under each shard's mutex
-  // (export-time scans: CollectHotKeys, SnapshotBase).
-  std::vector<KeyState*> AllKeyStates();
+  // The key's stripe: its key mutex, condition variable and wait profile.
+  Stripe& StripeOf(const KeyState& ks) const;
 
   // Orphan-cancellation state: the doomed subtree roots and the parked
   // waiters a doom must wake, both under one mutex (the atomicity is the
   // no-lost-cancellation argument — see ParkWaiter). doomed_count_
   // mirrors doomed_roots_.size() so IsDoomed is one relaxed load in the
   // common nothing-doomed case. Lock order: a waiter registers while
-  // holding its key mutex (ks.m -> doom_mutex_); DoomSubtree never holds
-  // doom_mutex_ while taking a key mutex.
+  // holding its key mutex (key mutex -> doom_mutex_); DoomSubtree never
+  // holds doom_mutex_ while taking a key mutex.
   struct ParkedWaiter {
     TransactionId txn;
     KeyState* ks;

@@ -415,5 +415,190 @@ TEST(LockManagerWakeClassificationTest, PlainDeadlineStillReportsTimeout) {
   lm.OnAbort(T({1}), std::vector<std::string>{"k"});
 }
 
+// Keys on one stripe share its key mutex and condition variable, so a
+// notify meant for one key's waiters wakes the other key's too. These
+// tests pin that such a wake is only spurious: it never grants, cancels
+// or times out the other key's waiter.
+class SharedStripeTest : public ::testing::Test {
+ protected:
+  explicit SharedStripeTest(std::chrono::milliseconds lock_timeout =
+                                std::chrono::seconds(30))
+      : lm_(Options(lock_timeout), &stats_) {
+    for (int i = 0; b_.empty(); ++i) {
+      const std::string b = StrCat("b", i);
+      if (lm_.StripeForTest(b) == lm_.StripeForTest(a_)) b_ = b;
+    }
+  }
+
+  static EngineOptions Options(std::chrono::milliseconds lock_timeout) {
+    EngineOptions o;
+    o.lock_timeout = lock_timeout;
+    return o;
+  }
+
+  static LockManager::Mutator Set(int64_t v) {
+    return [v](std::optional<int64_t>) { return v; };
+  }
+
+  // A read of `key` by `txn` on its own thread. `status` and `value`
+  // are valid once `thread` has been joined.
+  struct Reader {
+    Reader(LockManager& lm, const TransactionId& txn, const std::string& key)
+        : thread([this, &lm, txn, key] {
+            Result<std::optional<int64_t>> r = lm.AcquireRead(txn, key);
+            status = r.status();
+            if (r.ok()) value = *r;
+            done.store(true);
+          }) {}
+    ~Reader() {
+      if (thread.joinable()) thread.join();
+    }
+    std::atomic<bool> done{false};
+    Status status;
+    std::optional<int64_t> value;
+    std::thread thread;
+  };
+
+  // True iff `txn` stays parked (registered in the wait graph, its call
+  // not returned) for the whole of `ms`.
+  bool StaysParked(const Reader& r, const TransactionId& txn, int ms) {
+    for (int i = 0; i < ms; ++i) {
+      if (r.done.load() || lm_.wait_graph().WaitingOn(txn).empty()) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  EngineStats stats_;
+  LockManager lm_;
+  const std::string a_ = "a";
+  std::string b_;  // distinct from a_, on a_'s stripe
+};
+
+TEST_F(SharedStripeTest, ReleaseOnOneKeyReparksTheOtherKeysWaiter) {
+  const TransactionId t1 = T({1}), t2 = T({2}), t3 = T({3}), t4 = T({4});
+  ASSERT_TRUE(lm_.AcquireWrite(t1, a_, Set(7)).ok());
+  ASSERT_TRUE(lm_.AcquireWrite(t4, b_, Set(9)).ok());
+  Reader r2(lm_, t2, a_);
+  ASSERT_TRUE(
+      WaitUntil([&] { return !lm_.wait_graph().WaitingOn(t2).empty(); }));
+  Reader r3(lm_, t3, b_);
+  ASSERT_TRUE(
+      WaitUntil([&] { return !lm_.wait_graph().WaitingOn(t3).empty(); }));
+
+  // T4's commit notifies the shared condition variable: one key woken.
+  const uint64_t wakeups = stats_.Snapshot().wakeups_issued;
+  lm_.OnCommit(t4, TransactionId::Root(), std::vector<std::string>{b_});
+  r3.thread.join();
+  ASSERT_TRUE(r3.status.ok()) << r3.status.ToString();
+  EXPECT_EQ(r3.value, std::optional<int64_t>(9));
+  EXPECT_EQ(stats_.Snapshot().wakeups_issued, wakeups + 1);
+
+  // The same notify woke T2, which found T1 still holding a and re-parked.
+  EXPECT_TRUE(StaysParked(r2, t2, 50));
+  lm_.OnCommit(t1, TransactionId::Root(), std::vector<std::string>{a_});
+  r2.thread.join();
+  ASSERT_TRUE(r2.status.ok()) << r2.status.ToString();
+  EXPECT_EQ(r2.value, std::optional<int64_t>(7));
+  EXPECT_TRUE(lm_.wait_graph().WaitingOn(t2).empty());
+
+  lm_.OnCommit(t2, TransactionId::Root(), std::vector<std::string>{a_});
+  lm_.OnCommit(t3, TransactionId::Root(), std::vector<std::string>{b_});
+  EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
+  EXPECT_EQ(stats_.Snapshot().lock_timeouts, 0u);
+}
+
+TEST_F(SharedStripeTest, DoomCancelsOnlyTheDoomedKeysWaiter) {
+  const TransactionId t1 = T({1}), t2 = T({2, 0}), t3 = T({3}), t4 = T({4});
+  ASSERT_TRUE(lm_.AcquireWrite(t1, a_, Set(7)).ok());
+  ASSERT_TRUE(lm_.AcquireWrite(t4, b_, Set(9)).ok());
+  Reader r2(lm_, t2, a_);
+  Reader r3(lm_, t3, b_);
+  ASSERT_TRUE(WaitUntil([&] { return lm_.ParkedWaiterCount() == 2; }));
+
+  // The doom's mutex-pass and notify go through the shared stripe: both
+  // waiters wake, only T2 is in the doomed subtree.
+  lm_.DoomSubtree(T({2}));
+  r2.thread.join();
+  EXPECT_TRUE(r2.status.IsCancelled()) << r2.status.ToString();
+  EXPECT_TRUE(StaysParked(r3, t3, 50));
+
+  lm_.OnCommit(t4, TransactionId::Root(), std::vector<std::string>{b_});
+  r3.thread.join();
+  ASSERT_TRUE(r3.status.ok()) << r3.status.ToString();
+  EXPECT_EQ(r3.value, std::optional<int64_t>(9));
+  const StatsSnapshot snap = stats_.Snapshot();
+  EXPECT_EQ(snap.waits_cancelled, 1u);
+  EXPECT_EQ(snap.lock_timeouts, 0u);
+
+  lm_.ClearDoom(T({2}));
+  lm_.OnCommit(t1, TransactionId::Root(), std::vector<std::string>{a_});
+  lm_.OnCommit(t3, TransactionId::Root(), std::vector<std::string>{b_});
+  EXPECT_EQ(lm_.DoomedRootCount(), 0u);
+  EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
+}
+
+class SharedStripeTimeoutTest : public SharedStripeTest {
+ protected:
+  SharedStripeTimeoutTest()
+      : SharedStripeTest(std::chrono::milliseconds(20)) {}
+};
+
+// Two threads trade write locks on b, each holding it across a short
+// sleep, so b keeps inflating, parking a waiter and notifying the shared
+// condition variable while T2 waits out its 20 ms on a. T2's deadline is
+// fixed at its first park, so the wakes neither extend nor shorten it.
+TEST_F(SharedStripeTimeoutTest, TimeoutHoldsUnderTrafficOnTheOtherKey) {
+  const TransactionId t1 = T({1}), t2 = T({2});
+  ASSERT_TRUE(lm_.AcquireWrite(t1, a_, Set(7)).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> traffic_timeouts{0};
+  std::vector<std::thread> traffic;
+  const auto traffic_end =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  for (uint32_t c = 0; c < 2; ++c) {
+    traffic.emplace_back([&, c] {
+      for (uint32_t i = 0;
+           !stop.load() && std::chrono::steady_clock::now() < traffic_end;
+           ++i) {
+        const TransactionId txn = T({(c + 1) * 1000000 + i});
+        const Status s = lm_.AcquireWrite(txn, b_, Set(i)).status();
+        if (s.ok()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          lm_.OnCommit(txn, TransactionId::Root(),
+                       std::vector<std::string>{b_});
+        } else {
+          EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
+          traffic_timeouts.fetch_add(1);
+          lm_.OnAbort(txn, std::vector<std::string>{b_});
+        }
+      }
+    });
+  }
+  // The traffic notifies the stripe before T2 parks, and while it waits.
+  ASSERT_TRUE(WaitUntil([&] { return stats_.Snapshot().wakeups_issued > 0; }));
+  const uint64_t wakeups = stats_.Snapshot().wakeups_issued;
+  const auto start = std::chrono::steady_clock::now();
+  const Status s = lm_.AcquireRead(t2, a_).status();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const uint64_t wakeups_during = stats_.Snapshot().wakeups_issued - wakeups;
+  stop.store(true);
+  for (std::thread& th : traffic) th.join();
+
+  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
+  EXPECT_GE(elapsed, std::chrono::milliseconds(20));
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  EXPECT_GT(wakeups_during, 0u);
+  const StatsSnapshot snap = stats_.Snapshot();
+  EXPECT_EQ(snap.lock_timeouts, 1 + traffic_timeouts.load());
+  EXPECT_EQ(snap.waits_cancelled, 0u);
+  EXPECT_TRUE(lm_.wait_graph().WaitingOn(t2).empty());
+  lm_.OnCommit(t1, TransactionId::Root(), std::vector<std::string>{a_});
+  EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
+}
+
 }  // namespace
 }  // namespace nestedtx

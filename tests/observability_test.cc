@@ -10,8 +10,9 @@
 //    round-trip whose output must parse as strict JSON;
 //  - SpanLog sampling cadence and ring-overwrite semantics;
 //  - end-to-end Database runs: spans with sane timelines, populated
-//    histograms, the hot-key table, and export validity even when key
-//    names contain quotes, backslashes and control characters.
+//    histograms, the hot-key table (two keys sharing a lock stripe are
+//    two rows), and export validity even when key names contain quotes,
+//    backslashes and control characters.
 #include <unistd.h>
 
 #include <atomic>
@@ -628,6 +629,59 @@ TEST(DatabaseObservabilityTest, ContentionFeedsHotKeysAndExports) {
   const std::string text = db.ExportMetricsText();
   EXPECT_NE(text.find("nestedtx_hot_key_waits_total{key=\"hot \\\"key\\\""),
             std::string::npos);
+}
+
+// The wait profile lives in the key's stripe, not in the key: two keys
+// on one stripe that both waited are still two rows, ranked by wait time
+// (key order on ties), and a key that never waited has no row.
+TEST(DatabaseObservabilityTest, HotKeysSharingAStripeAreSeparateRows) {
+  Database db;
+  LockManager& locks = db.manager().locks();
+  const std::string a = "a";
+  std::string b;      // waits briefly, on a's stripe
+  std::string quiet;  // granted and released, never waits, on a's stripe
+  for (int i = 0; b.empty() || quiet.empty(); ++i) {
+    const std::string key = StrCat("b", i);
+    if (locks.StripeForTest(key) != locks.StripeForTest(a)) continue;
+    (b.empty() ? b : quiet) = key;
+  }
+  for (const std::string& key : {a, b, quiet}) db.Preload(key, 0);
+  ASSERT_TRUE(db.RunTransaction(1, [&](Transaction& t) {
+                  return t.Add(quiet, 1).status();
+                }).ok());
+
+  // One reader parks on `key` behind a writer that commits after `hold`.
+  const auto contend = [&](const std::string& key,
+                           std::chrono::milliseconds hold) {
+    auto writer = db.Begin();
+    ASSERT_TRUE(writer->Add(key, 1).ok());
+    std::thread reader([&] {
+      auto txn = db.Begin();
+      EXPECT_TRUE(txn->TryGet(key).ok());
+      EXPECT_TRUE(txn->Commit().ok());
+    });
+    for (int i = 0; i < 4000 && locks.ParkedWaiterCount() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(locks.ParkedWaiterCount(), 1u);
+    std::this_thread::sleep_for(hold);
+    EXPECT_TRUE(writer->Commit().ok());
+    reader.join();
+  };
+  contend(a, std::chrono::milliseconds(150));
+  contend(b, std::chrono::milliseconds(1));
+
+  const std::vector<HotKey> hot = locks.CollectHotKeys(10);
+  ASSERT_EQ(hot.size(), 2u);
+  EXPECT_EQ(hot[0].key, a);
+  EXPECT_EQ(hot[1].key, b);
+  for (const HotKey& hk : hot) {
+    EXPECT_EQ(hk.waits, 1u) << hk.key;
+    EXPECT_GT(hk.wait_ns, 0u) << hk.key;
+  }
+  EXPECT_TRUE(hot[0].wait_ns > hot[1].wait_ns ||
+              (hot[0].wait_ns == hot[1].wait_ns && hot[0].key < hot[1].key));
+  EXPECT_EQ(locks.CollectHotKeys(1).size(), 1u);
 }
 
 // A WAL-enabled database surfaces live durability telemetry on both

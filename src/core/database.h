@@ -113,19 +113,22 @@ class Database {
   /// spans). Valid JSON no matter what bytes appear in keys.
   std::string ExportMetricsJson();
 
- private:
+  /// The engine's one retry classification: true for a failure after
+  /// which re-running the body is safe (Deadlock, TimedOut, Aborted,
+  /// IoError). IoError is a failed WAL append: the commit aborted cleanly
+  /// BEFORE any effect installed, so a retry may succeed on a healthy
+  /// shard. DurabilityLost is the post-install flush failure and is
+  /// deliberately absent: the effects are already applied in memory, and
+  /// re-running the body would double-apply them (an Add would add twice
+  /// — and the retry would typically hash to a healthy shard and be
+  /// acked durable). RetryExecutor adds Cancelled where a fresh attempt
+  /// cannot match the stale doom.
   static bool Retryable(const Status& s) {
-    // IoError is a failed WAL append: the commit aborted cleanly BEFORE
-    // any effect installed, so retrying is safe and may succeed on a
-    // healthy shard. DurabilityLost is the post-install flush failure
-    // and is deliberately absent: the effects are already applied in
-    // memory, and re-running the body would double-apply them (an Add
-    // would add twice — and the retry would typically hash to a healthy
-    // shard and be acked durable).
     return s.IsDeadlock() || s.IsTimedOut() || s.IsAborted() ||
            s.IsIoError();
   }
 
+ private:
   // Background auto-checkpoint (wal_checkpoint_every_bytes > 0): the
   // flush leader's trigger just flips ckpt_requested_ under ckpt_mutex_
   // (it runs with a shard mutex held, so it must stay cheap); this

@@ -1105,7 +1105,7 @@ constexpr int kOccCommitSpinBudget = 4096;
 
 }  // namespace
 
-Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
+Status LockManager::OccCommit(const std::vector<WalWrite>& writes,
                               const std::vector<OccReadEntry>& reads,
                               uint64_t wal_shard_hint, WalTicket* wal_ticket,
                               TraceBlock* trace) {
@@ -1113,22 +1113,22 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
   // order. Sorted exclusive acquisition makes concurrent committers
   // deadlock-free: a committer only ever waits for keys greater than all
   // it holds, so any wait cycle would need a descending edge.
-  struct LockedWrite {
+  struct WriteLock {
     KeyState* ks;
     uint64_t pre;  // pre-CAS word (MICRO clear)
   };
-  std::vector<LockedWrite> locked;
+  std::vector<WriteLock> locked;
   locked.reserve(writes.size());
   auto fail = [&](std::string msg) {
     // Back out: restore the pre-lock words untouched (no seq bump — the
     // aborted commit made no observable change).
-    for (const LockedWrite& lw : locked) {
+    for (const WriteLock& lw : locked) {
       lw.ks->hot.word.store(lw.pre, std::memory_order_release);
     }
     stats_->Add(kStatOccValidationAborts);
     return Status::Aborted(std::move(msg));
   };
-  for (const OccWriteEntry& w : writes) {
+  for (const WalWrite& w : writes) {
     KeyState& ks = GetKeyState(w.key);
     bool have = false;
     uint64_t pre = 0;
@@ -1182,7 +1182,7 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
     if (r.key_state == nullptr) continue;  // buffer-sourced: merge-validated
     uint64_t cur = 0;
     bool ours = false;
-    for (const LockedWrite& lw : locked) {
+    for (const WriteLock& lw : locked) {
       if (lw.ks == r.key_state) {
         cur = lw.pre;
         ours = true;
@@ -1207,7 +1207,7 @@ Status LockManager::OccCommit(const std::vector<OccWriteEntry>& writes,
     Result<WalTicket> t = wal_->AppendImage(wal_shard_hint, writes,
                                             /*release_follows=*/true);
     if (!t.ok()) {
-      for (const LockedWrite& lw : locked) {
+      for (const WriteLock& lw : locked) {
         lw.ks->hot.word.store(lw.pre, std::memory_order_release);
       }
       return t.status();

@@ -278,6 +278,22 @@ class LockManager {
       HeldLock& held, const TransactionId& txn, const Mutator& mutator,
       const AccessTraceInfo* trace = nullptr);
 
+  /// One access through a caller's handle cache: the repeat lanes when
+  /// `held` came from an earlier grant to `txn` (its key is set), else a
+  /// cold grant on `key`. A null `mutator` reads, as in Grant. On success
+  /// `held` is the current handle.
+  Result<std::optional<int64_t>> Access(const TransactionId& txn,
+                                        const std::string& key,
+                                        const Mutator* mutator,
+                                        const AccessTraceInfo* trace,
+                                        HeldLock& held) {
+    if (held.key == nullptr) {
+      return Grant(GetKeyState(key), txn, mutator, trace, &held);
+    }
+    if (mutator == nullptr) return ReacquireRead(held, txn, trace);
+    return ReacquireWrite(held, txn, *mutator, trace);
+  }
+
   /// A key a transaction touched, with its cached fast-path handle (the
   /// handle may be stale or empty; only its KeyState pointer is relied
   /// upon, to skip the key lookup on commit/abort).
@@ -321,12 +337,6 @@ class LockManager {
     bool from_store = false;
   };
 
-  /// One buffered write (nullopt = deletion).
-  struct OccWriteEntry {
-    std::string key;
-    std::optional<int64_t> value;
-  };
-
   /// Optimistic read of `key`'s committed value: the seqlock read lane
   /// without any holder-set insert — two acquire loads around the value
   /// cache, zero shared-state writes on the hit path. Fills `entry` with
@@ -365,7 +375,7 @@ class LockManager {
   /// — the commit's serialization point; the ordering argument is in
   /// the implementation — and returned in trace->first for the caller
   /// to fill once the commit has succeeded.
-  Status OccCommit(const std::vector<OccWriteEntry>& writes,
+  Status OccCommit(const std::vector<WalWrite>& writes,
                    const std::vector<OccReadEntry>& reads,
                    uint64_t wal_shard_hint = 0,
                    WalTicket* wal_ticket = nullptr,
@@ -467,7 +477,7 @@ class LockManager {
   /// commit image while the write set is still locked and reports its
   /// release (install stores) to the checkpoint truncation floor via
   /// WriteAheadLog::NoteCommitReleased(ticket); the locking path's
-  /// release report lives with the committer in Transaction::Commit.
+  /// release report lives with the committer in Transaction::Pass.
   /// The WAL must outlive the lock manager.
   void SetWal(WriteAheadLog* wal) { wal_ = wal; }
   WriteAheadLog* wal() { return wal_; }

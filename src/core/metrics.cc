@@ -94,14 +94,6 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
   return out;
 }
 
-uint32_t LatencyHistogram::ThreadSlot() {
-  // Same scheme as EngineStats: a process-wide monotone id assigned once
-  // per thread, so a thread's records always land on one stripe.
-  static std::atomic<uint32_t> next{0};
-  thread_local uint32_t slot = next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
 ThreadWaitCounters& ThreadWaitAccounting() {
   thread_local ThreadWaitCounters counters;
   return counters;

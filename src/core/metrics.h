@@ -120,9 +120,6 @@ class LatencyHistogram {
     std::atomic<uint64_t> buckets[HistogramSnapshot::kNumBuckets]{};
   };
 
-  // Sticky per-thread slot (same discipline as EngineStats).
-  static uint32_t ThreadSlot();
-
   Stripe stripes_[kStripes];
 };
 

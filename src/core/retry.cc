@@ -73,14 +73,7 @@ void RetryExecutor::AbortQuietly(Transaction& txn) {
 
 bool RetryExecutor::RetryableForChild(const Status& s,
                                       const Transaction& parent) const {
-  // IoError: the WAL append failed and the commit aborted cleanly
-  // without installing effects, so a retry on a healthy shard is safe.
-  // DurabilityLost (a flush failure AFTER install) is deliberately not
-  // retryable — the effects are already applied; re-running the body
-  // would double-apply them.
-  if (s.IsDeadlock() || s.IsTimedOut() || s.IsAborted() || s.IsIoError()) {
-    return true;
-  }
+  if (Database::Retryable(s)) return true;
   // Cancelled: the failed child's own doom lifted when it aborted. Retry
   // only if the enclosing scope is not itself doomed — if an ancestor is
   // being cancelled, this whole subtree is an orphan and must unwind,
@@ -162,12 +155,7 @@ Status RetryExecutor::Run(const Database::TxnBody& body) {
     }
     // A fresh attempt runs under a fresh top-level id, so a Cancelled
     // verdict against the dead tree never taints the next one.
-    // DurabilityLost stays out of the list: the attempt's effects are
-    // installed, so it must propagate, not re-run.
-    if (!s.IsDeadlock() && !s.IsTimedOut() && !s.IsAborted() &&
-        !s.IsCancelled() && !s.IsIoError()) {
-      return s;
-    }
+    if (!Database::Retryable(s) && !s.IsCancelled()) return s;
     last = s;
   }
   db_->stats().Add(kStatRetriesExhausted);

@@ -21,8 +21,9 @@
 //
 // Retry is NOT attempted for semantic failures (InvalidArgument,
 // NotFound surfaced as errors, FailedPrecondition) or for admission
-// sheds (Overloaded): only Deadlock, TimedOut, Aborted and — once the
-// enclosing scope is clear of doom — Cancelled are considered transient.
+// sheds (Overloaded): only Database::Retryable's failures (Deadlock,
+// TimedOut, Aborted, IoError) and — once the enclosing scope is clear of
+// doom — Cancelled are considered transient.
 #ifndef NESTEDTX_CORE_RETRY_H_
 #define NESTEDTX_CORE_RETRY_H_
 

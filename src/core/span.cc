@@ -17,14 +17,6 @@ SpanLog::SpanLog(uint32_t sample_one_in, uint32_t capacity)
   if (enabled()) ring_.reserve(capacity_);
 }
 
-uint32_t SpanLog::ThreadSlot() {
-  // A process-wide monotone id assigned once per thread, so a thread's
-  // sampling decisions always hit one stripe.
-  static std::atomic<uint32_t> next{0};
-  thread_local uint32_t slot = next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
 void SpanLog::Append(TxnSpan span) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);

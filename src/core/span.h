@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/stats.h"
 #include "tx/transaction_id.h"
 #include "util/status.h"
 
@@ -89,9 +90,6 @@ class SpanLog {
   struct alignas(64) Stripe {
     std::atomic<uint64_t> counter{0};
   };
-
-  // Sticky per-thread slot (same discipline as EngineStats).
-  static uint32_t ThreadSlot();
 
   const uint32_t sample_one_in_;
   const uint32_t capacity_;

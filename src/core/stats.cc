@@ -4,10 +4,9 @@
 
 namespace nestedtx {
 
-uint32_t EngineStats::ThreadSlot() {
+uint32_t ThreadSlot() {
   static std::atomic<uint32_t> next{0};
-  static thread_local uint32_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
+  thread_local uint32_t slot = next.fetch_add(1, std::memory_order_relaxed);
   return slot;
 }
 

@@ -139,6 +139,12 @@ struct StatsSnapshot {
   std::string ToString() const;
 };
 
+/// Process-wide monotone thread slot, assigned on a thread's first call
+/// and kept for life. The stripe index of EngineStats, LatencyHistogram
+/// and SpanLog, so a thread's increments, records and sampling decisions
+/// always land on one stripe of each.
+uint32_t ThreadSlot();
+
 class EngineStats {
  public:
   /// Bump `c` by `n` on the calling thread's stripe (relaxed; never
@@ -225,10 +231,6 @@ class EngineStats {
     std::atomic<uint64_t> c[kStatNumCounters]{};
     std::atomic<uint32_t> owner{kStripeUnowned};
   };
-
-  // Process-wide monotone thread slot; a thread keeps its slot for life,
-  // so its increments always land on the same stripe.
-  static uint32_t ThreadSlot();
 
   Stripe stripes_[kStripes];
 };

@@ -10,14 +10,14 @@ namespace nestedtx {
 
 namespace {
 
-// Position of `key` in the sorted key inventory.
-std::vector<LockManager::KeyHold>::iterator FindKey(
-    std::vector<LockManager::KeyHold>& keys, const std::string& key) {
+// Position of `key` in a vector sorted by its entries' `key` field (the
+// key inventory, the write image, the OCC read set).
+template <typename Entry>
+typename std::vector<Entry>::iterator FindKey(std::vector<Entry>& entries,
+                                              const std::string& key) {
   return std::lower_bound(
-      keys.begin(), keys.end(), key,
-      [](const LockManager::KeyHold& e, const std::string& k) {
-        return e.key < k;
-      });
+      entries.begin(), entries.end(), key,
+      [](const Entry& e, const std::string& k) { return e.key < k; });
 }
 
 // Sorted-unique insert; an existing entry (and its cached handle) wins.
@@ -26,6 +26,37 @@ void InsertKey(std::vector<LockManager::KeyHold>& keys,
   auto it = FindKey(keys, entry.key);
   if (it == keys.end() || it->key != entry.key) keys.insert(it, entry);
 }
+
+// Upsert into a sorted write image: the later write of a key wins.
+void PutWrite(std::vector<WalWrite>& image, const std::string& key,
+              std::optional<int64_t> value) {
+  auto it = FindKey(image, key);
+  if (it != image.end() && it->key == key) {
+    it->value = value;
+  } else {
+    image.insert(it, WalWrite{key, value});
+  }
+}
+
+// Fold a committing child's image into its parent's (the caller holds
+// the parent's mutex). Child entries win: the child's version replaced
+// the parent's, in the lock manager's version map or in the OCC image,
+// so the child's value is the subtree's final word on the key.
+void FoldImage(const std::vector<WalWrite>& child,
+               std::vector<WalWrite>& parent) {
+  for (const WalWrite& w : child) PutWrite(parent, w.key, w.value);
+}
+
+// Sorted insert; duplicates per key are allowed (a merge may carry
+// distinct word observations of the same key).
+void OccInsertRead(std::vector<LockManager::OccReadEntry>& reads,
+                   LockManager::OccReadEntry e) {
+  reads.insert(FindKey(reads, e.key), std::move(e));
+}
+
+// A read under a write lock (exclusive-mode reads, GetForUpdate) copies
+// the version: that is the model's write access running a read.
+const LockManager::Mutator kCopy = [](std::optional<int64_t> v) { return v; };
 
 }  // namespace
 
@@ -158,18 +189,14 @@ void Transaction::Cancel() { manager_->locks().DoomSubtree(id_); }
 
 const AccessTraceInfo* Transaction::PrepareAccess(
     const std::string& key, uint32_t op_code, Value op_arg,
-    AccessTraceInfo* info, LockManager::HeldLock* held, bool* have_held,
-    size_t* idx) {
+    AccessTraceInfo* info, LockManager::HeldLock* held, size_t* idx) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = FindKey(keys_, key);
   if (it == keys_.end() || it->key != key) {
     it = keys_.insert(it, LockManager::KeyHold{key, {}});
   }
   *idx = static_cast<size_t>(it - keys_.begin());
-  if (it->held.key != nullptr) {
-    *held = it->held;
-    *have_held = true;
-  }
+  *held = it->held;
   if (manager_->locks().trace_recorder() == nullptr) return nullptr;
   // Accesses are children of this transaction in the model; they share
   // the child-index space with subtransactions.
@@ -191,49 +218,10 @@ void Transaction::CacheHeld(size_t idx, const std::string& key,
   if (it != keys_.end() && it->key == key) it->held = held;
 }
 
-Result<std::optional<int64_t>> Transaction::LockedRead(
-    const std::string& key, const AccessTraceInfo* trace,
-    LockManager::HeldLock held, bool have_held, size_t idx) {
-  SpanAccessScope span_scope(this);
-  LockManager& locks = manager_->locks();
-  if (have_held) {
-    const LockManager::HeldLock before = held;
-    Result<std::optional<int64_t>> r =
-        locks.ReacquireRead(held, LockOwner(), trace);
-    if (r.ok() &&
-        (held.word != before.word || held.read != before.read ||
-         held.write != before.write)) {
-      CacheHeld(idx, key, held);
-    }
-    return r;
-  }
-  Result<std::optional<int64_t>> r =
-      locks.AcquireRead(LockOwner(), key, trace, &held);
-  if (r.ok()) CacheHeld(idx, key, held);
-  return r;
-}
-
-Result<std::optional<int64_t>> Transaction::LockedWrite(
-    const std::string& key, const LockManager::Mutator& m,
-    const AccessTraceInfo* trace, LockManager::HeldLock held,
-    bool have_held, size_t idx) {
-  SpanAccessScope span_scope(this);
-  LockManager& locks = manager_->locks();
-  if (have_held) {
-    const LockManager::HeldLock before = held;
-    Result<std::optional<int64_t>> r =
-        locks.ReacquireWrite(held, LockOwner(), m, trace);
-    if (r.ok() &&
-        (held.word != before.word || held.read != before.read ||
-         held.write != before.write)) {
-      CacheHeld(idx, key, held);
-    }
-    return r;
-  }
-  Result<std::optional<int64_t>> r =
-      locks.AcquireWrite(LockOwner(), key, m, trace, &held);
-  if (r.ok()) CacheHeld(idx, key, held);
-  return r;
+void Transaction::RecordWrite(const std::string& key,
+                              std::optional<int64_t> value) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  PutWrite(writes_, key, value);
 }
 
 void Transaction::AddToAggregate(Value v) {
@@ -242,17 +230,61 @@ void Transaction::AddToAggregate(Value v) {
                                   static_cast<uint64_t>(v));
 }
 
-Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
+Result<std::optional<int64_t>> Transaction::Access(
+    const std::string& key, uint32_t op_code, Value op_arg,
+    const LockManager::Mutator* m) {
+  RETURN_IF_ERROR(CheckActive());
   if (occ_) {
-    // Optimistic read: no lock, no holder-set insert — the observation
-    // lands in the private read set and is validated at commit.
-    RETURN_IF_ERROR(CheckActive());
-    Result<std::optional<int64_t>> r = OccObserve(key);
-    if (!r.ok()) return r.status();
-    manager_->stats().Bump(kStatOccReads);
-    OccRecordOp(key, ops::kRead, 0, *r);
-    return r;
+    // Optimistic: nothing is locked until commit. A read, or an Add (the
+    // one write that observes the old value), records a read dependency;
+    // a write buffers its result in the image. Commit validates both.
+    std::optional<int64_t> v;
+    if (op_code == ops::kRead || op_code == ops::kCellAdd) {
+      Result<std::optional<int64_t>> seen = OccObserve(key);
+      if (!seen.ok()) return seen;
+      v = *seen;
+    }
+    if (op_code != ops::kRead) {
+      v = (*m)(v);
+      RecordWrite(key, v);
+    }
+    manager_->stats().Bump(op_code == ops::kRead ? kStatOccReads
+                                                 : kStatOccWrites);
+    if (manager_->locks().trace_recorder() != nullptr) {
+      // Every op folds the value it reports, matching the locking
+      // accesses' aggregate contributions.
+      std::lock_guard<std::mutex> lock(mutex_);
+      occ_ops_.push_back(OccOp{key, op_code, op_arg, v});
+      aggregate_ = static_cast<Value>(
+          static_cast<uint64_t>(aggregate_) +
+          static_cast<uint64_t>(v.value_or(kAbsentValue)));
+    }
+    return v;
   }
+  AccessTraceInfo info;
+  LockManager::HeldLock held;
+  size_t idx = 0;
+  const AccessTraceInfo* trace =
+      PrepareAccess(key, op_code, op_arg, &info, &held, &idx);
+  SpanAccessScope span_scope(this);
+  const LockManager::HeldLock before = held;
+  Result<std::optional<int64_t>> r =
+      manager_->locks().Access(LockOwner(), key, m, trace, held);
+  if (!r.ok()) return r;
+  // A repeat lane that left the handle as it was proved the cache
+  // current: no write-back.
+  if (held.word != before.word || held.read != before.read ||
+      held.write != before.write) {
+    CacheHeld(idx, key, held);
+  }
+  if (op_code != ops::kRead && manager_->wal() != nullptr) {
+    RecordWrite(key, *r);
+  }
+  if (trace != nullptr) AddToAggregate(r->value_or(kAbsentValue));
+  return r;
+}
+
+Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
   // Repeat-read fast path: if we already hold `key`, try the seqlock
   // lane in place on the cached handle. A hit proves the handle is
   // current, so none of the general path's handle copy-out, access-id
@@ -260,10 +292,10 @@ Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
   // with plain loads (no Status construction on the hot path): flat-2PL
   // dooming needs the ancestor walk, so that mode — like exclusive-read
   // mode and sampled spans (their wait accounting must stay complete) —
-  // takes the general path below. The lane itself bails when tracing is
-  // on or the word has moved.
+  // takes the general path below. OCC handles hold nothing. The lane
+  // itself bails when tracing is on or the word has moved.
   const CcMode cc_mode = manager_->options().cc_mode;
-  if (manager_->locks().FastReadLanePossible() &&
+  if (!occ_ && manager_->locks().FastReadLanePossible() &&
       cc_mode != CcMode::kExclusive && cc_mode != CcMode::kFlat2PL &&
       !span_sampled_ && !returned_.load(std::memory_order_relaxed) &&
       !doomed_.load(std::memory_order_relaxed) &&
@@ -275,53 +307,17 @@ Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
       if (manager_->locks().TryFastReadLane(it->held, &v)) return v;
     }
   }
-  RETURN_IF_ERROR(CheckActive());
-  const bool exclusive_reads = cc_mode == CcMode::kExclusive;
-  AccessTraceInfo info;
-  LockManager::HeldLock held;
-  bool have_held = false;
-  size_t idx = 0;
-  const AccessTraceInfo* trace =
-      PrepareAccess(key, ops::kRead, 0, &info, &held, &have_held, &idx);
-  Result<std::optional<int64_t>> r =
-      exclusive_reads
-          // Exclusive locking: reads take write locks; the version copy
-          // is the model's write-access behaviour.
-          ? LockedWrite(
-                key, [](std::optional<int64_t> v) { return v; }, trace,
-                held, have_held, idx)
-          : LockedRead(key, trace, held, have_held, idx);
-  if (r.ok() && trace != nullptr) {
-    AddToAggregate(r->value_or(kAbsentValue));
-  }
-  return r;
+  // Exclusive locking: reads take write locks.
+  return Access(key, ops::kRead, 0,
+                cc_mode == CcMode::kExclusive ? &kCopy : nullptr);
 }
 
 Result<std::optional<int64_t>> Transaction::GetForUpdate(
     const std::string& key) {
-  // Under OCC there is no read-lock-upgrade hazard to pre-empt (nothing
-  // is locked until commit), so this is a plain optimistic read.
-  if (occ_) return TryGet(key);
-  RETURN_IF_ERROR(CheckActive());
-  AccessTraceInfo info;
-  LockManager::HeldLock held;
-  bool have_held = false;
-  size_t idx = 0;
-  const AccessTraceInfo* trace =
-      PrepareAccess(key, ops::kRead, 0, &info, &held, &have_held, &idx);
-  if (trace != nullptr) {
-    // In the model this is a write access running a read-only operation.
-    info.op_code = ops::kRead;
-  }
-  // A write lock with an identity mutator: the version copy is what the
-  // model's write access does, and it makes the read abort-safe.
-  Result<std::optional<int64_t>> r = LockedWrite(
-      key, [](std::optional<int64_t> v) { return v; }, trace, held,
-      have_held, idx);
-  if (r.ok() && trace != nullptr) {
-    AddToAggregate(r->value_or(kAbsentValue));
-  }
-  return r;
+  // A write lock whose version copy makes the read abort-safe. Under OCC
+  // nothing is locked until commit, so there is no read-lock-upgrade
+  // hazard to pre-empt: this is a plain optimistic read.
+  return Access(key, ops::kRead, 0, &kCopy);
 }
 
 Result<int64_t> Transaction::Get(const std::string& key) {
@@ -334,81 +330,33 @@ Result<int64_t> Transaction::Get(const std::string& key) {
 }
 
 Status Transaction::Put(const std::string& key, int64_t value) {
-  RETURN_IF_ERROR(CheckActive());
-  if (occ_) {
-    Result<std::optional<int64_t>> r = OccWriteOp(
-        key, ops::kWrite, value, /*reads_current=*/false,
-        [value](std::optional<int64_t>) { return value; });
-    return r.ok() ? Status::OK() : r.status();
-  }
-  AccessTraceInfo info;
-  LockManager::HeldLock held;
-  bool have_held = false;
-  size_t idx = 0;
-  const AccessTraceInfo* trace = PrepareAccess(key, ops::kWrite, value,
-                                               &info, &held, &have_held,
-                                               &idx);
-  Result<std::optional<int64_t>> r = LockedWrite(
-      key, [value](std::optional<int64_t>) { return value; }, trace, held,
-      have_held, idx);
-  if (r.ok()) {
-    if (manager_->wal() != nullptr) RecordWalWrite(key, value);
-    if (trace != nullptr) AddToAggregate(value);
-  }
-  return r.ok() ? Status::OK() : r.status();
+  const LockManager::Mutator put = [value](std::optional<int64_t>) {
+    return value;
+  };
+  return Access(key, ops::kWrite, value, &put).status();
 }
 
 Result<int64_t> Transaction::Add(const std::string& key, int64_t delta) {
-  RETURN_IF_ERROR(CheckActive());
-  if (occ_) {
-    // The RMW observes the current value, so (unlike the blind Put and
-    // Delete) it records a read dependency alongside the buffered write.
-    Result<std::optional<int64_t>> r = OccWriteOp(
-        key, ops::kCellAdd, delta, /*reads_current=*/true,
-        [delta](std::optional<int64_t> v) { return v.value_or(0) + delta; });
-    if (!r.ok()) return r.status();
-    return **r;
-  }
-  AccessTraceInfo info;
-  LockManager::HeldLock held;
-  bool have_held = false;
-  size_t idx = 0;
-  const AccessTraceInfo* trace = PrepareAccess(key, ops::kCellAdd, delta,
-                                               &info, &held, &have_held,
-                                               &idx);
-  Result<std::optional<int64_t>> r = LockedWrite(
-      key,
-      [delta](std::optional<int64_t> v) { return v.value_or(0) + delta; },
-      trace, held, have_held, idx);
+  const LockManager::Mutator add = [delta](std::optional<int64_t> v) {
+    return v.value_or(0) + delta;
+  };
+  Result<std::optional<int64_t>> r = Access(key, ops::kCellAdd, delta, &add);
   if (!r.ok()) return r.status();
-  if (manager_->wal() != nullptr) RecordWalWrite(key, *r);
-  if (trace != nullptr) AddToAggregate(**r);
   return **r;
 }
 
 Status Transaction::Delete(const std::string& key) {
-  RETURN_IF_ERROR(CheckActive());
-  if (occ_) {
-    Result<std::optional<int64_t>> r = OccWriteOp(
-        key, ops::kCellDelete, 0, /*reads_current=*/false,
-        [](std::optional<int64_t>) { return std::nullopt; });
-    return r.ok() ? Status::OK() : r.status();
-  }
-  AccessTraceInfo info;
-  LockManager::HeldLock held;
-  bool have_held = false;
-  size_t idx = 0;
-  const AccessTraceInfo* trace = PrepareAccess(key, ops::kCellDelete, 0,
-                                               &info, &held, &have_held,
-                                               &idx);
-  Result<std::optional<int64_t>> r = LockedWrite(
-      key, [](std::optional<int64_t>) { return std::nullopt; }, trace,
-      held, have_held, idx);
-  if (r.ok()) {
-    if (manager_->wal() != nullptr) RecordWalWrite(key, std::nullopt);
-    if (trace != nullptr) AddToAggregate(kAbsentValue);
-  }
-  return r.ok() ? Status::OK() : r.status();
+  const LockManager::Mutator erase = [](std::optional<int64_t>) {
+    return std::optional<int64_t>();
+  };
+  return Access(key, ops::kCellDelete, 0, &erase).status();
+}
+
+EngineTraceRecorder* Transaction::TraceRecorder() const {
+  // Emitting create/commit events for lock-free OCC children would give
+  // the checker transactions with no access structure to certify.
+  if (occ_ && parent_ != nullptr) return nullptr;
+  return manager_->locks().trace_recorder();
 }
 
 Result<std::unique_ptr<Transaction>> Transaction::BeginChild() {
@@ -421,19 +369,13 @@ Result<std::unique_ptr<Transaction>> Transaction::BeginChild() {
     child_id = id_.Child(child_counter_++);
   }
   active_children_.fetch_add(1);
-  // OCC children are invisible to the trace: a subtransaction only moves
-  // private buffers around, and its ops surface as accesses of the
-  // top-level commit's trace block (see CommitOcc). Emitting
-  // create/commit events for lock-free children would give the checker
-  // transactions with no access structure to certify.
-  if (!occ_) {
-    if (EngineTraceRecorder* rec = manager_->locks().trace_recorder()) {
-      rec->Emit(Event::RequestCreate(child_id));
-      rec->Emit(Event::Create(child_id));
-    }
-  }
-  return std::unique_ptr<Transaction>(
+  std::unique_ptr<Transaction> child(
       new Transaction(manager_, this, std::move(child_id), occ_));
+  if (EngineTraceRecorder* rec = child->TraceRecorder()) {
+    rec->Emit(Event::RequestCreate(child->id_));
+    rec->Emit(Event::Create(child->id_));
+  }
+  return child;
 }
 
 void Transaction::MergeKeysIntoParent(
@@ -452,71 +394,11 @@ std::vector<LockManager::KeyHold> Transaction::TakeKeys() {
   return keys;
 }
 
-void Transaction::RecordWalWrite(const std::string& key,
-                                 std::optional<int64_t> value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = std::lower_bound(
-      wal_writes_.begin(), wal_writes_.end(), key,
-      [](const WalWrite& e, const std::string& k) { return e.key < k; });
-  if (it != wal_writes_.end() && it->key == key) {
-    it->value = value;  // last write of a key wins
-  } else {
-    wal_writes_.insert(it, WalWrite{key, value});
-  }
-}
-
-void Transaction::MergeWalWritesIntoParent() {
-  std::vector<WalWrite> mine;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    mine.swap(wal_writes_);
-  }
-  if (mine.empty()) return;
-  // Child entries overwrite the parent's: the child's version replaced
-  // the parent's in the lock manager's version map, so the child's value
-  // is the subtree's final word on the key.
-  std::lock_guard<std::mutex> lock(parent_->mutex_);
-  for (WalWrite& w : mine) {
-    auto it = std::lower_bound(
-        parent_->wal_writes_.begin(), parent_->wal_writes_.end(), w.key,
-        [](const WalWrite& e, const std::string& k) { return e.key < k; });
-    if (it != parent_->wal_writes_.end() && it->key == w.key) {
-      it->value = w.value;
-    } else {
-      parent_->wal_writes_.insert(it, std::move(w));
-    }
-  }
-}
-
-Status Transaction::AbortAfterFailedAppend(
-    Status cause, const std::vector<LockManager::KeyHold>& keys,
-    uint64_t commit_req_ns, bool timed) {
-  // Mirrors Abort() for a top-level locking handle. returned_ already
-  // flipped in Commit(), no commit trace event was emitted, and nothing
-  // was installed — the only difference from a voluntary abort is the
-  // cause carried back to the caller (IoError is retryable through
-  // RunTransaction/RetryExecutor, so a transient log failure re-runs
-  // the body against a healthy shard instead of crashing or silently
-  // committing).
-  MetricsRegistry& metrics = manager_->metrics();
-  manager_->locks().policy().OnTransactionEnd(id_);
-  EngineTraceRecorder* rec = manager_->locks().trace_recorder();
-  if (rec != nullptr) rec->Emit(Event::Abort(id_));
-  manager_->locks().OnAbort(LockOwner(), keys);
-  if (timed) {
-    const uint64_t end_ns = MonotonicNowNs();
-    metrics.Record(kHistAbortReleaseNs, end_ns - commit_req_ns);
-    metrics.Record(kHistTxnNs, end_ns - begin_ns_);
-    FinishSpan(end_ns, keys.size(), cause.code());
-  }
-  if (rec != nullptr) rec->Emit(Event::ReportAbort(id_));
-  manager_->stats().Add(kStatTxnsAborted);
-  manager_->stats().Add(kStatTopLevelAborted);
-  manager_->locks().ClearDoom(id_);
-  if (manager_->options().cc_mode == CcMode::kSerial) {
-    manager_->ReleaseSerialGate();
-  }
-  return cause;
+Transaction::Handoff Transaction::StartReturn() {
+  Handoff h;
+  h.request_ns = manager_->metrics().enabled() ? MonotonicNowNs() : 0;
+  if (span_sampled_) span_.commit_request_ns = h.request_ns;
+  return h;
 }
 
 Status Transaction::Commit() {
@@ -528,118 +410,84 @@ Status Transaction::Commit() {
   if (returned_.exchange(true)) {
     return Status::FailedPrecondition(StrCat(id_, " already returned"));
   }
+  Handoff h = StartReturn();
+  if (TraceRecorder() != nullptr) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    h.aggregate = aggregate_;
+  }
+  Status s = Pass(&h);
+  if (!s.ok()) {
+    // A failed child merge dropped its sets already. A top-level commit
+    // that failed still holds everything and turns into a clean abort:
+    // nothing was installed or traced as committed.
+    return parent_ != nullptr ? Finish(false, std::move(s), h)
+                              : AbortTail(std::move(s), h);
+  }
+  // Park until the record — and, across shards, everything it may
+  // depend on — is flushed. A flush failure surfaces as DurabilityLost,
+  // never IoError: the effects are installed engine-side, so the commit
+  // must not be re-run — only never acknowledged as durable. The
+  // documented asymmetry of syncing after install (DESIGN.md §6).
+  if (h.ticket.seq != 0) s = manager_->wal()->WaitDurable(h.ticket);
+  return Finish(true, std::move(s), h);
+}
 
-  // One clock read up front covers the span's commit-request stamp and
-  // the release-duration histogram (span sampling implies enabled()).
-  MetricsRegistry& metrics = manager_->metrics();
-  const bool timed = metrics.enabled();
-  const uint64_t commit_req_ns = timed ? MonotonicNowNs() : 0;
-  if (span_sampled_) span_.commit_request_ns = commit_req_ns;
-
-  if (occ_) return CommitOcc(commit_req_ns);
-
-  const CcMode mode = manager_->options().cc_mode;
+Status Transaction::Pass(Handoff* h) {
+  if (occ_) return parent_ != nullptr ? OccMergeIntoParent() : OccInstall(h);
   // No wait-graph sweep here: a committing transaction has returned from
   // every access, and each WaitForGrant exit clears its entry via a
   // scoped guard — taking the global graph mutex on the commit hot path
   // would buy nothing. Abort keeps a defensive sweep (it is the teardown
   // path for errors in flight).
-  EngineTraceRecorder* rec = manager_->locks().trace_recorder();
-  Value my_aggregate = 0;
-  if (rec != nullptr) {
+  WriteAheadLog* wal = manager_->wal();
+  std::vector<WalWrite> image;
+  if (wal != nullptr) {
     std::lock_guard<std::mutex> lock(mutex_);
-    my_aggregate = aggregate_;
+    image.swap(writes_);
   }
   // Durability point (top-level only): append the merged commit image
   // while every write lock is still held — ReleaseBatch has not touched
   // the holder sets yet, so a later writer of any of these keys acquires
   // them only after our release and appends strictly after us (the
-  // per-key ordering invariant of core/wal.h). On append failure the
-  // commit turns into a clean abort: no commit trace event has been
-  // emitted and nothing has been installed.
-  WriteAheadLog* wal = manager_->wal();
-  WalTicket wal_ticket;
-  if (parent_ == nullptr && wal != nullptr) {
-    std::vector<WalWrite> image;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      image.swap(wal_writes_);
-    }
-    if (!image.empty()) {
-      Result<WalTicket> t = wal->AppendImage(id_[0], image);
-      if (!t.ok()) {
-        return AbortAfterFailedAppend(t.status(), TakeKeys(),
-                                      commit_req_ns, timed);
-      }
-      wal_ticket = *t;
-    }
+  // per-key ordering invariant of core/wal.h).
+  if (parent_ == nullptr && !image.empty()) {
+    Result<WalTicket> t = wal->AppendImage(id_[0], image);
+    if (!t.ok()) return t.status();
+    h->ticket = *t;
   }
-  if (rec != nullptr) {
-    rec->Emit(Event::RequestCommit(id_, my_aggregate));
+  if (EngineTraceRecorder* rec = manager_->locks().trace_recorder()) {
+    rec->Emit(Event::RequestCommit(id_, h->aggregate));
     rec->Emit(Event::Commit(id_));
   }
+  // The inventory is swapped out once and the same vector feeds both the
+  // batched release and the parent merge — no deep copy of the key
+  // strings on the commit path. Flat-mode locks already belong to the
+  // top-level id: a child commit releases nothing and only hands its
+  // inventory up, so the top-level release sees everything.
+  const std::vector<LockManager::KeyHold> keys = TakeKeys();
+  h->keys = keys.size();
+  h->released =
+      parent_ == nullptr || manager_->options().cc_mode != CcMode::kFlat2PL;
+  if (h->released) {
+    manager_->locks().OnCommit(
+        id_, parent_ != nullptr ? parent_->id_ : TransactionId::Root(), keys);
+  }
   if (parent_ == nullptr) {
-    // Top-level commit: everything becomes the committed base.
-    const std::vector<LockManager::KeyHold> keys = TakeKeys();
-    manager_->locks().OnCommit(id_, TransactionId::Root(), keys);
     // The release fan-out is done: retire the seq from its shard's
     // unreleased set (the checkpoint truncation floor — a checkpoint's
     // fuzzy scan may miss installs of unreleased commits, so their log
     // records must survive it).
-    if (wal_ticket.seq != 0) wal->NoteCommitReleased(wal_ticket);
-    // Park until the record — and, across shards, everything it may
-    // depend on — is flushed. A flush failure surfaces as
-    // DurabilityLost, never IoError: the effects are installed
-    // engine-side, so the commit must not be re-run — only never
-    // acknowledged as durable. The documented asymmetry of syncing
-    // after install (DESIGN.md §6).
-    Status durable = Status::OK();
-    if (wal_ticket.seq != 0) durable = wal->WaitDurable(wal_ticket);
-    if (timed) {
-      const uint64_t end_ns = MonotonicNowNs();
-      metrics.Record(kHistCommitReleaseNs, end_ns - commit_req_ns);
-      metrics.Record(kHistTxnNs, end_ns - begin_ns_);
-      FinishSpan(end_ns, keys.size(), Status::Code::kOk);
-    }
-    if (rec != nullptr) rec->Emit(Event::ReportCommit(id_, my_aggregate));
-    manager_->stats().Add(kStatTxnsCommitted);
-    manager_->stats().Add(kStatTopLevelCommitted);
-    if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-    return durable;
+    if (h->ticket.seq != 0) wal->NoteCommitReleased(h->ticket);
+    return Status::OK();
   }
-
-  // Subtransaction commit. The inventory is swapped out once and the
-  // same vector feeds both the batched release and the parent merge —
-  // no deep copy of the key strings on the commit path.
-  const std::vector<LockManager::KeyHold> keys = TakeKeys();
-  if (mode == CcMode::kFlat2PL) {
-    // Locks already belong to the top-level id; just hand the key
-    // inventory up so the top-level release sees everything.
-    MergeKeysIntoParent(keys);
-  } else {
-    manager_->locks().OnCommit(id_, parent_->id_, keys);
-    MergeKeysIntoParent(keys);
+  MergeKeysIntoParent(keys);
+  // The WAL face of lock inheritance: only the top-level commit ever
+  // reaches the log — the paper's "only top-level commit is externally
+  // meaningful".
+  if (!image.empty()) {
+    std::lock_guard<std::mutex> lock(parent_->mutex_);
+    FoldImage(image, parent_->writes_);
   }
-  // The WAL face of lock inheritance: the child's write image folds into
-  // the parent's (child entries win), so only the top-level commit ever
-  // reaches the log — exactly the paper's "only top-level commit is
-  // externally meaningful".
-  if (wal != nullptr) MergeWalWritesIntoParent();
-  if (timed) {
-    const uint64_t end_ns = MonotonicNowNs();
-    // Flat-mode child commits release nothing (locks stay with the
-    // top-level owner), so they contribute no release sample.
-    if (mode != CcMode::kFlat2PL) {
-      metrics.Record(kHistCommitReleaseNs, end_ns - commit_req_ns);
-    }
-    FinishSpan(end_ns, keys.size(), Status::Code::kOk);
-  }
-  if (rec != nullptr) {
-    rec->Emit(Event::ReportCommit(id_, my_aggregate));
-    parent_->AddToAggregate(my_aggregate);
-  }
-  manager_->stats().Add(kStatTxnsCommitted);
-  parent_->active_children_.fetch_sub(1);
   return Status::OK();
 }
 
@@ -651,13 +499,15 @@ Status Transaction::Abort() {
   if (returned_.exchange(true)) {
     return Status::FailedPrecondition(StrCat(id_, " already returned"));
   }
+  return AbortTail(Status::OK(), StartReturn());
+}
 
-  MetricsRegistry& metrics = manager_->metrics();
-  const bool timed = metrics.enabled();
-  const uint64_t abort_req_ns = timed ? MonotonicNowNs() : 0;
-  if (span_sampled_) span_.commit_request_ns = abort_req_ns;
-
-  const CcMode mode = manager_->options().cc_mode;
+Status Transaction::AbortTail(Status cause, Handoff h) {
+  // No savepoints in flat 2PL: a subtransaction abort cannot be undone
+  // in place, so it dooms the whole top-level transaction, and its keys
+  // stay with the top-level owner to be rolled back when the top aborts.
+  const bool flat_child =
+      parent_ != nullptr && manager_->options().cc_mode == CcMode::kFlat2PL;
   // Wait-registry hygiene on teardown. Every WaitForGrant exit already
   // clears its own entry via a scoped guard (grant, deadlock, timeout,
   // injected fault all audited), so this is a defensive sweep for a
@@ -665,93 +515,74 @@ Status Transaction::Abort() {
   // for prevention policies, which keep no registry). Skipped for
   // flat-mode subtransactions, whose waits run under the shared
   // top-level id that siblings may still be using.
-  if (parent_ == nullptr || mode != CcMode::kFlat2PL) {
-    manager_->locks().policy().OnTransactionEnd(id_);
+  if (!flat_child) manager_->locks().policy().OnTransactionEnd(id_);
+  if (EngineTraceRecorder* rec = TraceRecorder()) {
+    rec->Emit(Event::Abort(id_));
   }
-  EngineTraceRecorder* rec = manager_->locks().trace_recorder();
-  // OCC children are invisible to the trace (see BeginChild); only a
-  // top-level OCC abort reports, matching its Create from Begin.
-  if (occ_ && parent_ != nullptr) rec = nullptr;
-  if (rec != nullptr) rec->Emit(Event::Abort(id_));
   const std::vector<LockManager::KeyHold> keys = TakeKeys();
-  if (mode == CcMode::kFlat2PL && parent_ != nullptr) {
-    // No savepoints: a subtransaction abort cannot be undone in place, so
-    // the whole top-level transaction is doomed. Its keys stay with the
-    // top-level owner and are rolled back when the top aborts.
+  if (flat_child) {
     TopLevel()->doomed_.store(true);
     MergeKeysIntoParent(keys);
   } else {
     manager_->locks().OnAbort(LockOwner(), keys);
   }
-  if (timed) {
+  h.keys += keys.size();
+  h.released = !flat_child;
+  return Finish(false, std::move(cause), h);
+}
+
+Status Transaction::Finish(bool committed, Status result, const Handoff& h) {
+  MetricsRegistry& metrics = manager_->metrics();
+  if (metrics.enabled()) {
     const uint64_t end_ns = MonotonicNowNs();
-    // A flat-mode child abort dooms the tree but releases nothing.
-    if (!(mode == CcMode::kFlat2PL && parent_ != nullptr)) {
-      metrics.Record(kHistAbortReleaseNs, end_ns - abort_req_ns);
+    if (h.released) {
+      metrics.Record(committed ? kHistCommitReleaseNs : kHistAbortReleaseNs,
+                     end_ns - h.request_ns);
     }
     if (parent_ == nullptr) metrics.Record(kHistTxnNs, end_ns - begin_ns_);
-    FinishSpan(end_ns, keys.size(), Status::Code::kAborted);
+    // A commit's span reads OK even when the flush then failed; an
+    // abort's names the failure that caused it, if any.
+    Status::Code code = Status::Code::kOk;
+    if (!committed) code = result.ok() ? Status::Code::kAborted : result.code();
+    FinishSpan(end_ns, h.keys, code);
   }
-  if (rec != nullptr) rec->Emit(Event::ReportAbort(id_));
-  manager_->stats().Add(kStatTxnsAborted);
+  EngineTraceRecorder* rec = TraceRecorder();
+  if (rec != nullptr) {
+    rec->Emit(committed ? Event::ReportCommit(id_, h.aggregate)
+                        : Event::ReportAbort(id_));
+  }
+  EngineStats& stats = manager_->stats();
+  stats.Add(committed ? kStatTxnsCommitted : kStatTxnsAborted);
   // The abort Cancel() announced has now happened: lift the doom so the
   // id space is clean. A retried subtree runs under fresh child ids, so
   // even a doom cleared late could never match the new attempt; clearing
   // here keeps the registry from accumulating dead roots.
-  manager_->locks().ClearDoom(id_);
+  if (!committed) manager_->locks().ClearDoom(id_);
   if (parent_ == nullptr) {
-    manager_->stats().Add(kStatTopLevelAborted);
-    if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
+    stats.Add(committed ? kStatTopLevelCommitted : kStatTopLevelAborted);
+    if (manager_->options().cc_mode == CcMode::kSerial) {
+      manager_->ReleaseSerialGate();
+    }
   } else {
+    if (committed && rec != nullptr) parent_->AddToAggregate(h.aggregate);
     parent_->active_children_.fetch_sub(1);
   }
-  return Status::OK();
+  return result;
 }
 
-namespace {
-
-// Sorted-vector positions in the OCC buffers.
-std::vector<LockManager::OccWriteEntry>::iterator OccFindWrite(
-    std::vector<LockManager::OccWriteEntry>& writes, const std::string& key) {
-  return std::lower_bound(
-      writes.begin(), writes.end(), key,
-      [](const LockManager::OccWriteEntry& e, const std::string& k) {
-        return e.key < k;
-      });
-}
-
-std::vector<LockManager::OccReadEntry>::iterator OccFindRead(
-    std::vector<LockManager::OccReadEntry>& reads, const std::string& key) {
-  return std::lower_bound(
-      reads.begin(), reads.end(), key,
-      [](const LockManager::OccReadEntry& e, const std::string& k) {
-        return e.key < k;
-      });
-}
-
-// Sorted insert; duplicates per key are allowed (a merge may carry
-// distinct word observations of the same key).
-void OccInsertRead(std::vector<LockManager::OccReadEntry>& reads,
-                   LockManager::OccReadEntry e) {
-  reads.insert(OccFindRead(reads, e.key), std::move(e));
-}
-
-}  // namespace
-
-Transaction::OccHit Transaction::OccLookupLocked(
-    const std::string& key, std::optional<int64_t>* value) {
-  if (occ_state_ == nullptr) return OccHit::kNone;
-  auto wit = OccFindWrite(occ_state_->writes, key);
-  if (wit != occ_state_->writes.end() && wit->key == key) {
+bool Transaction::OccLookupLocked(const std::string& key,
+                                  std::optional<int64_t>* value) {
+  auto wit = FindKey(writes_, key);
+  if (wit != writes_.end() && wit->key == key) {
     *value = wit->value;
-    return OccHit::kWrite;
+    return true;
   }
-  auto rit = OccFindRead(occ_state_->reads, key);
-  if (rit != occ_state_->reads.end() && rit->key == key) {
+  auto rit = FindKey(occ_reads_, key);
+  if (rit != occ_reads_.end() && rit->key == key) {
     *value = rit->observed;
-    return OccHit::kRead;
+    return true;
   }
-  return OccHit::kNone;
+  return false;
 }
 
 Result<std::optional<int64_t>> Transaction::OccObserve(
@@ -761,7 +592,7 @@ Result<std::optional<int64_t>> Transaction::OccObserve(
   std::optional<int64_t> v;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (OccLookupLocked(key, &v) != OccHit::kNone) return v;
+    if (OccLookupLocked(key, &v)) return v;
   }
   // Ancestors' buffers: a child reads through the parent chain the way a
   // locking child reads through inherited versions. One mutex at a time
@@ -771,7 +602,7 @@ Result<std::optional<int64_t>> Transaction::OccObserve(
   for (Transaction* t = parent_; t != nullptr && !from_ancestor;
        t = t->parent_) {
     std::lock_guard<std::mutex> lock(t->mutex_);
-    from_ancestor = t->OccLookupLocked(key, &v) != OccHit::kNone;
+    from_ancestor = t->OccLookupLocked(key, &v);
   }
   LockManager::OccReadEntry e;
   e.key = key;
@@ -787,56 +618,21 @@ Result<std::optional<int64_t>> Transaction::OccObserve(
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (occ_state_ == nullptr) occ_state_ = std::make_unique<OccState>();
-    OccInsertRead(occ_state_->reads, std::move(e));
+    OccInsertRead(occ_reads_, std::move(e));
   }
   return v;
 }
 
-Result<std::optional<int64_t>> Transaction::OccWriteOp(
-    const std::string& key, uint32_t op_code, Value op_arg,
-    bool reads_current, const LockManager::Mutator& m) {
-  std::optional<int64_t> current;
-  if (reads_current) {
-    Result<std::optional<int64_t>> r = OccObserve(key);
-    if (!r.ok()) return r.status();
-    current = *r;
-  }
-  const std::optional<int64_t> next = m(current);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (occ_state_ == nullptr) occ_state_ = std::make_unique<OccState>();
-    auto it = OccFindWrite(occ_state_->writes, key);
-    if (it != occ_state_->writes.end() && it->key == key) {
-      it->value = next;
-    } else {
-      occ_state_->writes.insert(it, LockManager::OccWriteEntry{key, next});
-    }
-  }
-  manager_->stats().Bump(kStatOccWrites);
-  OccRecordOp(key, op_code, op_arg, next);
-  return next;
-}
-
-void Transaction::OccRecordOp(const std::string& key, uint32_t op_code,
-                              Value op_arg, std::optional<int64_t> reported) {
-  if (manager_->locks().trace_recorder() == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (occ_state_ == nullptr) occ_state_ = std::make_unique<OccState>();
-  occ_state_->ops.push_back(OccOp{key, op_code, op_arg, reported});
-  // Inline AddToAggregate (it takes mutex_): every op folds the value it
-  // reports, matching the locking paths' per-op aggregate contributions.
-  aggregate_ = static_cast<Value>(
-      static_cast<uint64_t>(aggregate_) +
-      static_cast<uint64_t>(reported.value_or(kAbsentValue)));
-}
-
 Status Transaction::OccMergeIntoParent() {
-  std::unique_ptr<OccState> st;
+  std::vector<WalWrite> writes;
+  std::vector<LockManager::OccReadEntry> reads;
+  std::vector<OccOp> ops;
   Value my_aggregate = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    st = std::move(occ_state_);
+    writes.swap(writes_);
+    reads.swap(occ_reads_);
+    ops.swap(occ_ops_);
     my_aggregate = aggregate_;
   }
   // parent_->mutex_ is held across validate AND merge: sibling merges
@@ -846,73 +642,59 @@ Status Transaction::OccMergeIntoParent() {
   // time, strictly child->ancestor — merges at different depths take
   // mutexes in depth order and cannot deadlock.
   std::lock_guard<std::mutex> plock(parent_->mutex_);
-  if (st != nullptr) {
-    for (LockManager::OccReadEntry& e : st->reads) {
-      std::optional<int64_t> v;
-      OccHit h = parent_->OccLookupLocked(e.key, &v);
-      for (Transaction* t = parent_->parent_;
-           t != nullptr && h == OccHit::kNone; t = t->parent_) {
-        std::lock_guard<std::mutex> alock(t->mutex_);
-        h = t->OccLookupLocked(e.key, &v);
-      }
-      if (h == OccHit::kNone) {
-        if (!e.from_store) {
-          // The ancestor buffer this read was served from is gone —
-          // nothing left to pin the observation; fail conservatively.
-          manager_->stats().Add(kStatOccValidationAborts);
-          return Status::Aborted(StrCat(
-              id_, " OCC merge: buffered source for key '", e.key,
-              "' vanished"));
-        }
-        continue;  // store-sourced: rides up for top-level validation
-      }
-      if (v != e.observed) {
-        // A sibling's merged write (or a differing ancestor observation)
-        // invalidated this read: partial abort — only this subtree
-        // discards its work and retries.
+  for (LockManager::OccReadEntry& e : reads) {
+    std::optional<int64_t> v;
+    bool hit = parent_->OccLookupLocked(e.key, &v);
+    for (Transaction* t = parent_->parent_; t != nullptr && !hit;
+         t = t->parent_) {
+      std::lock_guard<std::mutex> alock(t->mutex_);
+      hit = t->OccLookupLocked(e.key, &v);
+    }
+    if (!hit) {
+      if (!e.from_store) {
+        // The ancestor buffer this read was served from is gone —
+        // nothing left to pin the observation; fail conservatively.
         manager_->stats().Add(kStatOccValidationAborts);
         return Status::Aborted(StrCat(
-            id_, " OCC merge validation failed on key '", e.key, "'"));
+            id_, " OCC merge: buffered source for key '", e.key,
+            "' vanished"));
       }
-      // Disposition on a value match: buffer-sourced entries are pure
-      // duplicates of the ancestor's own observation and drop out (the
-      // merge below skips !from_store). Store-sourced entries ALWAYS
-      // keep their word — even when an ancestor's buffered write
-      // matches the value, the store observation is independent, and a
-      // concurrent top-level committer could still invalidate it
-      // between our read and the tree's install.
+      continue;  // store-sourced: rides up for top-level validation
     }
-    // Merge. Writes upsert (the child's buffered value wins, as its
-    // version replaces the parent's in locking inheritance); surviving
-    // store-sourced reads insert unless an identical word entry already
-    // exists; traced ops append after the parent's own (exactly the
-    // order a serial execution of the tree would produce them in).
-    if (parent_->occ_state_ == nullptr) {
-      parent_->occ_state_ = std::make_unique<OccState>();
+    if (v != e.observed) {
+      // A sibling's merged write (or a differing ancestor observation)
+      // invalidated this read: partial abort — only this subtree
+      // discards its work and retries.
+      manager_->stats().Add(kStatOccValidationAborts);
+      return Status::Aborted(StrCat(
+          id_, " OCC merge validation failed on key '", e.key, "'"));
     }
-    OccState& pst = *parent_->occ_state_;
-    for (LockManager::OccReadEntry& e : st->reads) {
-      if (!e.from_store) continue;  // dropped above (or never had a word)
-      bool dup = false;
-      for (auto it = OccFindRead(pst.reads, e.key);
-           it != pst.reads.end() && it->key == e.key; ++it) {
-        if (it->key_state == e.key_state && it->word == e.word) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) OccInsertRead(pst.reads, std::move(e));
-    }
-    for (LockManager::OccWriteEntry& w : st->writes) {
-      auto it = OccFindWrite(pst.writes, w.key);
-      if (it != pst.writes.end() && it->key == w.key) {
-        it->value = w.value;
-      } else {
-        pst.writes.insert(it, std::move(w));
-      }
-    }
-    for (OccOp& op : st->ops) pst.ops.push_back(std::move(op));
+    // Disposition on a value match: buffer-sourced entries are pure
+    // duplicates of the ancestor's own observation and drop out (the
+    // merge below skips !from_store). Store-sourced entries ALWAYS
+    // keep their word — even when an ancestor's buffered write
+    // matches the value, the store observation is independent, and a
+    // concurrent top-level committer could still invalidate it
+    // between our read and the tree's install.
   }
+  // Merge. Surviving store-sourced reads insert unless an identical word
+  // entry already exists; the image folds in child-wins; traced ops
+  // append after the parent's own (exactly the order a serial execution
+  // of the tree would produce them in).
+  for (LockManager::OccReadEntry& e : reads) {
+    if (!e.from_store) continue;  // dropped above (or never had a word)
+    bool dup = false;
+    for (auto it = FindKey(parent_->occ_reads_, e.key);
+         it != parent_->occ_reads_.end() && it->key == e.key; ++it) {
+      if (it->key_state == e.key_state && it->word == e.word) {
+        dup = true;
+        break;
+      }
+    }
+    if (!dup) OccInsertRead(parent_->occ_reads_, std::move(e));
+  }
+  FoldImage(writes, parent_->writes_);
+  for (OccOp& op : ops) parent_->occ_ops_.push_back(std::move(op));
   // Fold the aggregate inline (AddToAggregate would retake plock).
   parent_->aggregate_ = static_cast<Value>(
       static_cast<uint64_t>(parent_->aggregate_) +
@@ -920,41 +702,23 @@ Status Transaction::OccMergeIntoParent() {
   return Status::OK();
 }
 
-Status Transaction::CommitOcc(uint64_t commit_req_ns) {
-  MetricsRegistry& metrics = manager_->metrics();
-  const bool timed = metrics.enabled();
-  EngineStats& stats = manager_->stats();
-  if (parent_ != nullptr) {
-    // Child commit: validate-and-merge is the OCC image of lock
-    // inheritance — the parent absorbs the child's observations and
-    // intents; nothing touches shared state. No trace events either way
-    // (OCC children are invisible to the trace; see BeginChild).
-    const Status s = OccMergeIntoParent();
-    if (timed) {
-      FinishSpan(MonotonicNowNs(), 0,
-                 s.ok() ? Status::Code::kOk : Status::Code::kAborted);
-    }
-    stats.Add(s.ok() ? kStatTxnsCommitted : kStatTxnsAborted);
-    if (!s.ok()) manager_->locks().ClearDoom(id_);
-    parent_->active_children_.fetch_sub(1);
-    return s;
-  }
-  // Top-level commit: the only point an OCC tree touches shared state.
-  std::unique_ptr<OccState> st;
-  Value my_aggregate = 0;
+Status Transaction::OccInstall(Handoff* h) {
+  // The only point an OCC tree touches shared state.
+  std::vector<WalWrite> writes;
+  std::vector<LockManager::OccReadEntry> reads;
+  std::vector<OccOp> ops;  // the trace payload
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    st = std::move(occ_state_);
-    my_aggregate = aggregate_;
+    writes.swap(writes_);
+    reads.swap(occ_reads_);
+    ops.swap(occ_ops_);
   }
   EngineTraceRecorder* rec = manager_->locks().trace_recorder();
-  std::vector<OccOp> ops;  // the trace payload
   TraceBlock block;
   if (rec != nullptr) {
     // Size the block: one access group per op, REQUEST_COMMIT, COMMIT,
     // and one INFORM_COMMIT_AT per distinct key. The stable sort keeps
     // each key's ops in the order the tree ran them.
-    if (st != nullptr) ops.swap(st->ops);
     std::stable_sort(
         ops.begin(), ops.end(),
         [](const OccOp& a, const OccOp& b) { return a.key < b.key; });
@@ -964,66 +728,23 @@ Status Transaction::CommitOcc(uint64_t commit_req_ns) {
       if (i == 0 || ops[i].key != ops[i - 1].key) ++block.size;
     }
   }
-  WriteAheadLog* wal = manager_->wal();
-  WalTicket wal_ticket;
-  Status s = Status::OK();
-  size_t keys_touched = 0;
-  const bool touched =
-      st != nullptr && (!st->writes.empty() || !st->reads.empty());
-  if (touched) {
-    keys_touched = st->writes.size() + st->reads.size();
+  h->keys = writes.size() + reads.size();
+  h->released = true;
+  if (h->keys != 0) {
     // OccCommit appends the image itself, between validation and
     // install (the write-set words are still MICRO-locked there), and
     // reserves the trace block at its serialization point.
-    s = manager_->locks().OccCommit(st->writes, st->reads, id_[0],
-                                    wal != nullptr ? &wal_ticket : nullptr,
-                                    rec != nullptr ? &block : nullptr);
+    RETURN_IF_ERROR(manager_->locks().OccCommit(
+        writes, reads, id_[0],
+        manager_->wal() != nullptr ? &h->ticket : nullptr,
+        rec != nullptr ? &block : nullptr));
+  } else if (rec != nullptr) {
+    // Nothing to validate or install: any point of the order serves.
+    block.first = rec->Reserve(block.size);
   }
-  const CcMode mode = manager_->options().cc_mode;
-  if (s.ok()) {
-    if (rec != nullptr) {
-      // Nothing to validate or install: any point of the order serves.
-      if (!touched) block.first = rec->Reserve(block.size);
-      EmitOccCommit(ops, block.first, my_aggregate);
-    }
-    // Installed; now park for durability. Same asymmetry as the locking
-    // path: a flush failure reports the non-retryable DurabilityLost
-    // without undoing the install.
-    Status durable = Status::OK();
-    if (wal_ticket.seq != 0) durable = wal->WaitDurable(wal_ticket);
-    if (timed) {
-      const uint64_t end_ns = MonotonicNowNs();
-      metrics.Record(kHistCommitReleaseNs, end_ns - commit_req_ns);
-      metrics.Record(kHistTxnNs, end_ns - begin_ns_);
-      FinishSpan(end_ns, keys_touched, Status::Code::kOk);
-    }
-    if (rec != nullptr) rec->Emit(Event::ReportCommit(id_, my_aggregate));
-    stats.Add(kStatOccCommits);
-    stats.Add(kStatTxnsCommitted);
-    stats.Add(kStatTopLevelCommitted);
-    if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-    return durable;
-  }
-  // Validation (or the WAL append) failed: the transaction aborts in
-  // place, mirroring Abort()'s event order and bookkeeping. The handle
-  // has returned, so Database's retry loop sees the retryable abort
-  // without a double Abort(). Nothing was installed, and the trace saw
-  // none of the tree's accesses (the reserved block stays empty).
-  if (rec != nullptr) {
-    rec->Emit(Event::Abort(id_));
-    rec->Emit(Event::ReportAbort(id_));
-  }
-  if (timed) {
-    const uint64_t end_ns = MonotonicNowNs();
-    metrics.Record(kHistAbortReleaseNs, end_ns - commit_req_ns);
-    metrics.Record(kHistTxnNs, end_ns - begin_ns_);
-    FinishSpan(end_ns, keys_touched, Status::Code::kAborted);
-  }
-  stats.Add(kStatTxnsAborted);
-  stats.Add(kStatTopLevelAborted);
-  manager_->locks().ClearDoom(id_);
-  if (mode == CcMode::kSerial) manager_->ReleaseSerialGate();
-  return s;
+  if (rec != nullptr) EmitOccCommit(ops, block.first, h->aggregate);
+  manager_->stats().Add(kStatOccCommits);
+  return Status::OK();
 }
 
 void Transaction::EmitOccCommit(const std::vector<OccOp>& ops,

@@ -121,6 +121,10 @@ class Transaction {
   /// The transaction id locks are taken under (self, or the top-level
   /// ancestor in kFlat2PL).
   const TransactionId& LockOwner() const;
+  /// The recorder this handle reports to: null when not tracing, and for
+  /// OCC subtransactions, which the trace never sees (their ops surface
+  /// as accesses of the top-level commit's block; see OccInstall).
+  EngineTraceRecorder* TraceRecorder() const;
 
   Status CheckActive() const;
   /// Swap out this transaction's key inventory (it becomes empty).
@@ -131,109 +135,101 @@ class Transaction {
   void MergeKeysIntoParent(const std::vector<LockManager::KeyHold>& keys);
   Transaction* TopLevel();
 
-  // --- Durability (wal_enabled only; see core/wal.h) ---
-  /// Record a successful locking-path write in the commit image (last
-  /// write of a key wins). OCC handles skip this: their write buffer IS
-  /// the image.
-  void RecordWalWrite(const std::string& key, std::optional<int64_t> value);
-  /// Child commit: fold this handle's image into the parent's, child
-  /// entries overwriting the parent's — the WAL face of lock
-  /// inheritance. The image dies with the handle on abort.
-  void MergeWalWritesIntoParent();
-  /// The shared tail of Commit()'s append-failed path: turn the commit
-  /// into a clean abort (no trace commit event was emitted yet, nothing
-  /// was installed) and return `cause`, which is retryable through
-  /// RetryExecutor/RunTransaction.
-  Status AbortAfterFailedAppend(Status cause,
-                                const std::vector<LockManager::KeyHold>& keys,
-                                uint64_t commit_req_ns, bool timed);
-
-  /// Register `key` in the key inventory, copy out any cached held-lock
-  /// handle for it (plus its inventory index, a hint for CacheHeld), and
-  /// (when tracing) allocate an access child id into `info`; returns the
-  /// info pointer to pass to the lock manager (nullptr when not tracing).
+  /// The one access body behind GetForUpdate, Put, Add, Delete and
+  /// TryGet's general path. `op_code`/`op_arg` name the model operation;
+  /// `m` maps the observed value to the new one, and a null `m` reads (as
+  /// in LockManager::Grant). A locking handle makes one lock-manager
+  /// call, on its cached handle when it holds the key; an OCC handle
+  /// observes into its read set and buffers writes in its image instead.
+  Result<std::optional<int64_t>> Access(const std::string& key,
+                                        uint32_t op_code, Value op_arg,
+                                        const LockManager::Mutator* m);
+  /// Register `key` in the key inventory, copy out its cached held-lock
+  /// handle (empty if none; plus its inventory index, a hint for
+  /// CacheHeld), and (when tracing) allocate an access child id into
+  /// `info`; returns the info pointer to pass to the lock manager
+  /// (nullptr when not tracing).
   const AccessTraceInfo* PrepareAccess(const std::string& key,
                                        uint32_t op_code, Value op_arg,
                                        AccessTraceInfo* info,
                                        LockManager::HeldLock* held,
-                                       bool* have_held, size_t* idx);
+                                       size_t* idx);
   /// Store/update the held-lock handle cached for `key`. `idx` is the
   /// entry's position as of PrepareAccess — revalidated, since committing
   /// children may have merged entries in since.
   void CacheHeld(size_t idx, const std::string& key,
                  const LockManager::HeldLock& held);
-
-  /// Read/write through the lock manager, taking the held-lock fast lane
-  /// when a sufficient cached handle exists.
-  Result<std::optional<int64_t>> LockedRead(const std::string& key,
-                                            const AccessTraceInfo* trace,
-                                            LockManager::HeldLock held,
-                                            bool have_held, size_t idx);
-  Result<std::optional<int64_t>> LockedWrite(const std::string& key,
-                                             const LockManager::Mutator& m,
-                                             const AccessTraceInfo* trace,
-                                             LockManager::HeldLock held,
-                                             bool have_held, size_t idx);
+  /// Record a write's result in the image (last write of a key wins).
+  void RecordWrite(const std::string& key, std::optional<int64_t> value);
 
   /// When tracing: fold a child report value into this transaction's
   /// aggregate (unsigned wraparound, mirroring ScriptedTransaction).
   void AddToAggregate(Value v);
 
+  // --- Returns ---
+  // Commit passes locks, versions and the image up (Pass), Abort
+  // discards them (AbortTail), and both end in Finish.
+
+  /// What a return hands its tail.
+  struct Handoff {
+    uint64_t request_ns = 0;  // commit/abort request stamp (timed only)
+    Value aggregate = 0;      // traced commits: the reported value
+    size_t keys = 0;          // the span's keys_touched
+    bool released = false;    // ran a release or an OCC install
+    WalTicket ticket;         // a top-level commit's log record
+  };
+  /// A return's first step: one clock read for the span's request stamp
+  /// and the release histogram (span sampling implies metrics enabled).
+  Handoff StartReturn();
+  /// INFORM_COMMIT_AT: hand locks, versions and the image to the parent,
+  /// or (top-level) log and install them, filling `h`. A top-level
+  /// failure (OCC validation, the log append) happens before anything
+  /// is installed or traced as committed.
+  Status Pass(Handoff* h);
+  /// The one abort tail, INFORM_ABORT_AT: discard this handle's locks
+  /// and versions (a flat-2PL child dooms its tree instead) and Finish.
+  /// Returns `cause`: OK for Abort(), else the failure that turned a
+  /// top-level commit into this abort (retryable through RetryExecutor).
+  Status AbortTail(Status cause, Handoff h);
+  /// The tail of every return: the release and txn_ns histograms, the
+  /// span, REPORT_COMMIT or REPORT_ABORT, the outcome counters, and then
+  /// the serial gate (top-level) or the parent's child count. Returns
+  /// `result`.
+  Status Finish(bool committed, Status result, const Handoff& h);
+
   // --- Optimistic execution (CcProtocol::kOcc) ---
   // An OCC handle never touches the lock manager's holder structures:
-  // every op lands in a private OccState instead of keys_. Reads resolve
-  // own write buffer -> own read set -> ancestors' buffers -> store
+  // reads land in a private read set and writes in the image. Reads
+  // resolve own image -> own read set -> ancestors' buffers -> store
   // (giving repeatable reads); child commit validates-and-merges the
   // sets into the parent; only top-level commit touches shared state.
 
   /// One buffered op, kept (traced runs only) as the trace payload of
   /// the top-level commit. `reported` is the value the op observed or
-  /// produced. The read and write sets drop some of these values (reads
-  /// served from an ancestor's buffer, reads of the tree's own writes),
-  /// and the checker needs them to catch a bad child merge.
+  /// produced. The read set and the image drop some of these values
+  /// (reads served from an ancestor's buffer, reads of the tree's own
+  /// writes), and the checker needs them to catch a bad child merge.
   struct OccOp {
     std::string key;
     uint32_t op_code;
     Value op_arg;
     std::optional<int64_t> reported;
   };
-  struct OccState {
-    std::vector<LockManager::OccWriteEntry> writes;  // sorted by key, unique
-    std::vector<LockManager::OccReadEntry> reads;    // sorted by key
-    std::vector<OccOp> ops;                          // traced runs only
-  };
 
-  /// Where an OCC buffer lookup found the key.
-  enum class OccHit { kNone, kWrite, kRead };
-
-  /// Lookup in THIS handle's buffers (caller holds mutex_).
-  OccHit OccLookupLocked(const std::string& key,
-                         std::optional<int64_t>* value);
+  /// Lookup in THIS handle's image and read set (caller holds mutex_).
+  bool OccLookupLocked(const std::string& key, std::optional<int64_t>* value);
   /// Observe `key`'s value for this handle, recording the read
   /// dependency (word entry for store reads, buffer-sourced entry for
   /// ancestor-buffer hits) that merge/commit validation will check.
   Result<std::optional<int64_t>> OccObserve(const std::string& key);
-  /// Buffer a write (`mutator` maps observed -> new value; reads_current
-  /// says whether the op semantically observes the old value, i.e. Add).
-  Result<std::optional<int64_t>> OccWriteOp(const std::string& key,
-                                            uint32_t op_code, Value op_arg,
-                                            bool reads_current,
-                                            const LockManager::Mutator& m);
-  /// Append a traced op record + aggregate fold (no-op when not tracing).
-  void OccRecordOp(const std::string& key, uint32_t op_code, Value op_arg,
-                   std::optional<int64_t> reported);
   /// Child commit: validate this handle's read set against the parent
   /// chain as of now and merge sets/ops into the parent (the OCC image
   /// of lock inheritance). Fails with retryable Status::Aborted when a
   /// sibling's merged write invalidated an observation.
   Status OccMergeIntoParent();
-  /// Commit bookkeeping: a child validates and merges into its parent;
-  /// a top-level runs LockManager::OccCommit, traced or not. Called from
-  /// Commit() after returned_ flips; mirrors the locking path's
-  /// events/metrics/stats. A traced top-level commit fills the block
-  /// OccCommit reserved (EmitOccCommit); one that fails emits only ABORT
-  /// and REPORT_ABORT.
-  Status CommitOcc(uint64_t commit_req_ns);
+  /// Top-level commit: LockManager::OccCommit, traced or not, then fill
+  /// the block it reserved (EmitOccCommit).
+  Status OccInstall(Handoff* h);
   /// Fill a traced commit's block from `first`: the ops' access groups
   /// stable-sorted by key, REQUEST_COMMIT, COMMIT, then one
   /// INFORM_COMMIT_AT per key. `ops` must already be sorted.
@@ -253,17 +249,19 @@ class Transaction {
   Transaction* parent_;  // nullptr for top-level
   TransactionId id_;
 
-  std::mutex mutex_;  // guards keys_, child_counter_, aggregate_
+  // Guards keys_, child_counter_, aggregate_, writes_ and the OCC sets.
+  std::mutex mutex_;
   /// Keys this transaction may hold locks on, sorted by key, each with
   /// the cached fast-path handle from its latest successful acquire (an
   /// empty/stale handle just falls back to the full grant path).
   std::vector<LockManager::KeyHold> keys_;
   uint32_t child_counter_ = 0;
-  /// Commit image for the WAL (locking handles, wal_enabled only): the
-  /// final value of every key this subtree wrote, sorted by key. Guarded
-  /// by mutex_. Children fold theirs in at commit; the top-level commit
-  /// appends the merged image before releasing its locks.
-  std::vector<WalWrite> wal_writes_;
+  /// The write image: the final value of every key this subtree wrote,
+  /// sorted by key. A child folds its image into its parent's at commit
+  /// (child entries win); the top-level commit logs it (locking) or
+  /// installs it (OCC). A locking handle keeps it only with a WAL; for an
+  /// OCC handle it is the write set. Guarded by mutex_.
+  std::vector<WalWrite> writes_;
   std::atomic<int> active_children_{0};
   std::atomic<bool> returned_{false};
   std::atomic<bool> doomed_{false};   // kFlat2PL subtree failure
@@ -272,7 +270,10 @@ class Transaction {
   /// True when this handle executes optimistically (kOcc). Children
   /// inherit the flag, so a whole tree is either optimistic or locking.
   const bool occ_;
-  std::unique_ptr<OccState> occ_state_;  // lazily allocated; guarded by mutex_
+  /// OCC read set (sorted by key) and, traced runs only, the buffered
+  /// ops. Guarded by mutex_.
+  std::vector<LockManager::OccReadEntry> occ_reads_;
+  std::vector<OccOp> occ_ops_;
 
   // Observability scratch. begin_ns_ is stamped once at construction
   // (metrics enabled only); span_ accumulates while span_sampled_ and is

@@ -347,14 +347,6 @@ const char* WalFsyncModeName(WalFsyncMode mode) {
   return "?";
 }
 
-void WriteAheadLog::EncodeU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteAheadLog::EncodeU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 WriteAheadLog::WriteAheadLog(const EngineOptions& options,
                              EngineStats* stats, MetricsRegistry* metrics)
     : options_(options), stats_(stats), metrics_(metrics) {
@@ -403,6 +395,23 @@ WriteAheadLog::~WriteAheadLog() {
 
 Status WriteAheadLog::OpenStatus() const { return open_status_; }
 
+Result<WalTicket> WriteAheadLog::AppendImage(
+    uint64_t shard_hint, const std::vector<WalWrite>& writes,
+    bool release_follows) {
+  thread_local std::string body;
+  body.clear();
+  AppendU32(&body, static_cast<uint32_t>(writes.size()));
+  for (const WalWrite& w : writes) {
+    AppendU32(&body, static_cast<uint32_t>(w.key.size()));
+    body.append(w.key);
+    body.push_back(w.value.has_value() ? '\1' : '\0');
+    if (w.value.has_value()) {
+      AppendU64(&body, static_cast<uint64_t>(*w.value));
+    }
+  }
+  return AppendRecord(shard_hint, body, release_follows);
+}
+
 Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
                                               const std::string& body,
                                               bool release_follows) {
@@ -437,13 +446,13 @@ Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
         next_seq_.fetch_add(1, std::memory_order_seq_cst) + 1;
     appended_.store(true, std::memory_order_relaxed);
     const size_t before = sh.buffer.size();
-    EncodeU32(&sh.buffer, static_cast<uint32_t>(body.size() + 8));
+    AppendU32(&sh.buffer, static_cast<uint32_t>(body.size() + 8));
     // CRC covers seq || body; seq is framed inside the payload.
     thread_local std::string payload;
     payload.clear();
-    EncodeU64(&payload, seq);
+    AppendU64(&payload, seq);
     payload.append(body);
-    EncodeU32(&sh.buffer, Crc32(payload.data(), payload.size()));
+    AppendU32(&sh.buffer, Crc32(payload.data(), payload.size()));
     sh.buffer.append(payload);
     sh.buffered_seq = seq;
     if (sh.buffer_min_seq == 0) sh.buffer_min_seq = seq;

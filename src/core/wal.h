@@ -158,9 +158,9 @@
 
 namespace nestedtx {
 
-/// One entry of a top-level commit image: a put (value set) or a delete
-/// (nullopt tombstone). Field names match LockManager::OccWriteEntry so
-/// AppendImage accepts either container.
+/// One entry of a commit image: a put (value set) or a delete (nullopt
+/// tombstone). A transaction's image is a vector of these sorted by key,
+/// the form both AppendImage and LockManager::OccCommit take.
 struct WalWrite {
   std::string key;
   std::optional<int64_t> value;
@@ -192,9 +192,8 @@ class WriteAheadLog {
   Status OpenStatus() const;
 
   /// Append one top-level commit image. `shard_hint` (the top-level
-  /// begin ordinal) picks the shard; `writes` is any container of
-  /// {key, optional<int64_t> value} entries, sorted or not. Must be
-  /// called while the commit still holds its write locks (see the
+  /// begin ordinal) picks the shard; `writes` may be in any order. Must
+  /// be called while the commit still holds its write locks (see the
   /// ordering invariant above). With `release_follows` the committer
   /// promises a NoteCommitReleased(ticket) will follow once its install
   /// and release fan-out finish; checkpoints never truncate such a
@@ -202,22 +201,9 @@ class WriteAheadLog {
   /// IoError when the shard is broken, or InvalidArgument when the
   /// record would exceed the length recovery reads back — in both cases
   /// nothing was installed and the caller can abort cleanly.
-  template <typename Vec>
-  Result<WalTicket> AppendImage(uint64_t shard_hint, const Vec& writes,
-                                bool release_follows = true) {
-    thread_local std::string body;
-    body.clear();
-    EncodeU32(&body, static_cast<uint32_t>(writes.size()));
-    for (const auto& w : writes) {
-      EncodeU32(&body, static_cast<uint32_t>(w.key.size()));
-      body.append(w.key);
-      body.push_back(w.value.has_value() ? '\1' : '\0');
-      if (w.value.has_value()) {
-        EncodeU64(&body, static_cast<uint64_t>(*w.value));
-      }
-    }
-    return AppendRecord(shard_hint, body, release_follows);
-  }
+  Result<WalTicket> AppendImage(uint64_t shard_hint,
+                                const std::vector<WalWrite>& writes,
+                                bool release_follows = true);
 
   /// Block until the ticket's record — and, with multiple shards, every
   /// record with a smaller seq on ANY shard — is durable per the fsync
@@ -342,9 +328,6 @@ class WriteAheadLog {
     uint64_t cut = 0;
     std::string file;
   };
-
-  static void EncodeU32(std::string* out, uint32_t v);
-  static void EncodeU64(std::string* out, uint64_t v);
 
   Result<WalTicket> AppendRecord(uint64_t shard_hint,
                                  const std::string& body,

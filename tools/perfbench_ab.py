@@ -10,7 +10,10 @@ Each tree runs its own perfbench/run.py, which builds that tree's engine
 into its own .bench_build/. Pair i runs both trees on seed
 --first-seed + i, and the tree that runs first alternates from pair to
 pair. CPU steal (/proc/stat, in 1/100 s ticks) is sampled around every
-run; runs above --steal-ticks are listed apart, never dropped.
+run; runs above --steal-ticks are listed apart, never dropped. Each run
+also records its CPU seconds (user + sys of run.py and everything it
+waited for, from getrusage(RUSAGE_CHILDREN)); a tree's first run includes
+its build, so read the per-workload medians, not that run.
 
 For every metric the report gives each side's median and quartiles, the
 head/base ratio of the medians, the pairs the head won (ties count for
@@ -34,6 +37,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,17 +59,25 @@ def steal_ticks():
     return 0
 
 
+def children_cpu_s():
+    """User + sys seconds of every waited-for child process so far."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+
+
 def run_once(tree, workload, seed, seconds, trace):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     steal0 = steal_ticks()
+    cpu0 = children_cpu_s()
     start = time.monotonic()
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True,
                           timeout=RUN_TIMEOUT_S)
     run = {"tree": tree, "workload": workload, "seed": seed,
            "wall_s": round(time.monotonic() - start, 3),
+           "cpu_s": round(children_cpu_s() - cpu0, 3),
            "steal_ticks": steal_ticks() - steal0,
            "exit": proc.returncode}
     try:
@@ -143,7 +155,9 @@ def report(pairs, spec, steal_limit):
     for side, idx in (("base", 0), ("head", 1)):
         attempted = sum(p[idx].get("attempted", 0) for p in pairs)
         failed = sum(p[idx].get("failed", 0) for p in pairs)
-        print(f"{side}: {failed} failed of {attempted} attempted operations")
+        cpu = statistics.median(p[idx]["cpu_s"] for p in pairs)
+        print(f"{side}: {failed} failed of {attempted} attempted operations, "
+              f"median {cpu:.1f} CPU s per run")
     flagged = [f"{side} seed {r['seed']} ({r['steal_ticks']} ticks)"
                for p in pairs for side, r in zip(("base", "head"), p)
                if r["steal_ticks"] > steal_limit]
@@ -189,7 +203,7 @@ def main():
             for side, r in zip(("base", "head"), pair):
                 print(f"[{w} pair {i + 1}/{args.pairs} seed {seed}] {side}: "
                       f"exit {r['exit']}, correct {r.get('correct')}, "
-                      f"failed {r.get('failed')}, "
+                      f"failed {r.get('failed')}, cpu {r['cpu_s']:.1f} s, "
                       f"steal {r['steal_ticks']} ticks", file=sys.stderr,
                       flush=True)
                 if (r["exit"] != 0 or not r.get("correct")

@@ -12,7 +12,8 @@
 //
 // Run with --json to skip google-benchmark and instead write the micro
 // results to BENCH_bench_lock_manager.json (see README "Benchmarks"),
-// plus one memory row: the lock table's resident bytes per preloaded key.
+// plus three memory rows: the lock table's resident bytes per preloaded
+// key, per key touched once, and per never-written key read once.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -370,28 +371,60 @@ double ResidentBytes() {
   return double(resident) * double(sysconf(_SC_PAGESIZE));
 }
 
-// Memory row: RSS growth across building a fresh Database and preloading
-// 2^18 keys, per key. It runs first, before any other row has grown and
-// freed the heap, and keeps its full key count in smoke mode: it is a
-// size, not a timing. The key names are built before the first reading.
-void AddPreloadMemoryRow(bench::JsonResultFile& out) {
+// Memory rows, per key over 2^18 keys: RSS growth across building a
+// fresh Database and preloading the keys; then across one top-level
+// TryGet+Add+Commit per preloaded key (the holder storage a key keeps
+// once its last holder has left); then across building a second
+// Database and running one top-level TryGet+Commit per never-written key
+// under the default kDetect (the entry and table slots an absent read
+// leaves behind, which stays until dead keys are reclaimed). They run
+// first, before any other row has grown and freed the heap, and the
+// first Database stays alive, so each reading is fresh growth. They keep
+// their full key count in smoke mode: they are sizes, not timings. The
+// key names are built before the first reading.
+void AddMemoryRows(bench::JsonResultFile& out) {
   constexpr size_t kKeys = size_t{1} << 18;
   std::vector<std::string> names;
+  std::vector<std::string> absent;
   names.reserve(kKeys);
-  for (size_t k = 0; k < kKeys; ++k) names.push_back(StrCat("k", k));
-  const double before = ResidentBytes();
+  absent.reserve(kKeys);
+  for (size_t k = 0; k < kKeys; ++k) {
+    names.push_back(StrCat("k", k));
+    absent.push_back(StrCat("a", k));
+  }
+  auto row = [&](const char* config, double before) {
+    out.Add(config)
+        .Int("keys", kKeys)
+        .Num("bytes_per_key", (ResidentBytes() - before) / double(kKeys));
+  };
+  double before = ResidentBytes();
   Database db;
   for (const std::string& k : names) db.Preload(k, 0);
-  const double grown = ResidentBytes() - before;
-  out.Add("preload_bytes_per_key")
-      .Int("keys", kKeys)
-      .Num("bytes_per_key", grown / double(kKeys));
+  row("preload_bytes_per_key", before);
+
+  before = ResidentBytes();
+  for (const std::string& k : names) {
+    auto txn = db.Begin();
+    (void)txn->TryGet(k);
+    (void)txn->Add(k, 1);
+    (void)txn->Commit();
+  }
+  row("touched_bytes_per_key", before);
+
+  before = ResidentBytes();
+  Database reads;
+  for (const std::string& k : absent) {
+    auto txn = reads.Begin();
+    (void)txn->TryGet(k);
+    (void)txn->Commit();
+  }
+  row("absent_read_bytes_per_key", before);
 }
 
 int RunJsonMode() {
   using bench::JsonResultFile;
   JsonResultFile out("bench_lock_manager");
-  AddPreloadMemoryRow(out);
+  AddMemoryRows(out);
 
   {
     const TransactionId base = TransactionId::Root().Child(3).Child(1);

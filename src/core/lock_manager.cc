@@ -47,16 +47,18 @@ constexpr int kFastSpinBudget = 64;
 
 // One lock-table entry: the paper's M(X) state (holder sets, version
 // map, base) plus the key and its lock word. Holder sets and the version
-// map are sorted small vectors (holder counts are tiny in practice).
+// map are sorted small vectors (holder counts are tiny in practice) over
+// pooled holder blocks that go back when the last holder leaves
+// (core/id_small_set.h), so an entry nobody holds owns no heap memory.
 // `hot` is the atomic lock word described above and, while the key is
 // uninflated, the cached value a conflict-free reader observes (deepest
 // writer's version, else base), so the seqlock read lane never touches
 // the plain structures. The slow path's mutex, condition variable and
 // wait profile live in the key's Stripe, not here. Two cache lines: the
 // first holds everything a lookup and a fast grant read before the
-// holder sets; the second holds the holder-set headers and the base,
-// which every grant and release writes. Entries live in the Arena below,
-// which never moves or frees one before the manager dies.
+// holder sets; the second holds the 16-byte holder-set headers and the
+// base, which every grant and release writes. Entries live in the Arena
+// below, which never moves or frees one before the manager dies.
 struct alignas(64) LockManager::KeyState {
   KeyState(std::string k, size_t h, bool born_inflated)
       : hash(h),
@@ -72,7 +74,7 @@ struct alignas(64) LockManager::KeyState {
   // holds the stripe mutex from wake to re-park, so a releaser either
   // sees it parked or sees the post-release state it re-checks against.
   // waiters > 0 also blocks deflation: an uninflated key never has a
-  // parked waiter. (It sits in the first line's tail: the second is full.)
+  // parked waiter. (It sits in the first line's tail.)
   uint32_t waiters = 0;
   IdSet read_holders;
   // Write holders with their version slots: holder set and version map
@@ -352,7 +354,7 @@ size_t LockManager::StripeForTest(const std::string& key) const {
   return StripeIndex(std::hash<std::string>{}(key));
 }
 
-std::optional<int64_t> LockManager::CurrentValue(const KeyState& ks) {
+inline std::optional<int64_t> LockManager::CurrentValue(const KeyState& ks) {
   const VersionMap::Entry* deepest = nullptr;
   for (const VersionMap::Entry& e : ks.write_holders) {
     if (deepest == nullptr || e.id.Depth() > deepest->id.Depth()) {
@@ -1290,6 +1292,13 @@ LockManager::KeySnapshotForTest LockManager::SnapshotKeyForTest(
   out.holder_epoch = section.word() & kWordSeqMask;
   out.inflated = (section.word() & kWordInflated) != 0;
   return out;
+}
+
+size_t LockManager::HolderCapacityForTest(const std::string& key) {
+  KeyState& ks = GetKeyState(key);
+  std::lock_guard<std::mutex> lock(StripeOf(ks).m);
+  WordSection section(ks);
+  return ks.read_holders.capacity() + ks.write_holders.capacity();
 }
 
 }  // namespace nestedtx

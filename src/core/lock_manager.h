@@ -46,7 +46,15 @@
 // key mutexes at once, so sharing adds no lock-order edge, and a shared
 // condition variable adds only spurious wakeups, which the wait loop
 // already re-checks. A key's own waiter count stays in its entry, so a
-// release still skips the notify when nobody waits on that key.
+// release still skips the notify when nobody waits on that key. Holder
+// storage leaves with the last holder: each holder set is a 16-byte
+// header over a pooled holder block, which the set hands back the moment
+// it empties, on every release path (fast under the MICRO bit or
+// inflated under the key mutex). Blocks recycle through a per-thread
+// cache, at most kCachedHolderBlocks per size class and the rest on the
+// heap, so the next grant on an empty set reuses a block its core freed
+// moments ago (core/id_small_set.h). A key nobody holds owns no heap
+// memory.
 //
 // Hot-path fast lane: a successful acquire can hand back a HeldLock
 // handle {key state, word snapshot, held modes}. Re-acquiring under it
@@ -462,6 +470,11 @@ class LockManager {
     bool inflated = false;
   };
   KeySnapshotForTest SnapshotKeyForTest(const std::string& key);
+
+  /// Test hook: the holder storage `key` owns, in elements of room across
+  /// its read-holder set and its version map (0 once the last holder has
+  /// left). Same snapshot discipline as SnapshotKeyForTest.
+  size_t HolderCapacityForTest(const std::string& key);
 
   /// Attach a trace recorder (before any transaction runs; tracing
   /// disables the fast lanes so every grant and release emits under a

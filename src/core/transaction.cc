@@ -433,7 +433,7 @@ Status Transaction::Commit() {
 }
 
 Status Transaction::Pass(Handoff* h) {
-  if (occ_) return parent_ != nullptr ? OccMergeIntoParent() : OccInstall(h);
+  if (occ_) return parent_ != nullptr ? OccMergeIntoParent(h) : OccInstall(h);
   // No wait-graph sweep here: a committing transaction has returned from
   // every access, and each WaitForGrant exit clears its entry via a
   // scoped guard — taking the global graph mutex on the commit hot path
@@ -519,15 +519,23 @@ Status Transaction::AbortTail(Status cause, Handoff h) {
   if (EngineTraceRecorder* rec = TraceRecorder()) {
     rec->Emit(Event::Abort(id_));
   }
-  const std::vector<LockManager::KeyHold> keys = TakeKeys();
-  if (flat_child) {
-    TopLevel()->doomed_.store(true);
-    MergeKeysIntoParent(keys);
+  if (occ_) {
+    // An OCC handle holds no locks: its sets drop with the handle, and
+    // only a failed top-level commit, whose OccCommit ran, released
+    // anything. The span counts the sets as a commit attempt does.
+    std::lock_guard<std::mutex> lock(mutex_);
+    h.keys += writes_.size() + occ_reads_.size();
   } else {
-    manager_->locks().OnAbort(LockOwner(), keys);
+    const std::vector<LockManager::KeyHold> keys = TakeKeys();
+    if (flat_child) {
+      TopLevel()->doomed_.store(true);
+      MergeKeysIntoParent(keys);
+    } else {
+      manager_->locks().OnAbort(LockOwner(), keys);
+    }
+    h.keys += keys.size();
+    h.released = !flat_child;
   }
-  h.keys += keys.size();
-  h.released = !flat_child;
   return Finish(false, std::move(cause), h);
 }
 
@@ -623,7 +631,7 @@ Result<std::optional<int64_t>> Transaction::OccObserve(
   return v;
 }
 
-Status Transaction::OccMergeIntoParent() {
+Status Transaction::OccMergeIntoParent(Handoff* h) {
   std::vector<WalWrite> writes;
   std::vector<LockManager::OccReadEntry> reads;
   std::vector<OccOp> ops;
@@ -635,6 +643,7 @@ Status Transaction::OccMergeIntoParent() {
     ops.swap(occ_ops_);
     my_aggregate = aggregate_;
   }
+  h->keys = writes.size() + reads.size();
   // parent_->mutex_ is held across validate AND merge: sibling merges
   // serialize here, so two children that both observed a key and both
   // buffered conflicting writes cannot slip past each other's

@@ -187,7 +187,8 @@ class Transaction {
   /// is installed or traced as committed.
   Status Pass(Handoff* h);
   /// The one abort tail, INFORM_ABORT_AT: discard this handle's locks
-  /// and versions (a flat-2PL child dooms its tree instead) and Finish.
+  /// and versions (a flat-2PL child dooms its tree instead; an OCC
+  /// handle only drops its sets) and Finish.
   /// Returns `cause`: OK for Abort(), else the failure that turned a
   /// top-level commit into this abort (retryable through RetryExecutor).
   Status AbortTail(Status cause, Handoff h);
@@ -224,9 +225,10 @@ class Transaction {
   Result<std::optional<int64_t>> OccObserve(const std::string& key);
   /// Child commit: validate this handle's read set against the parent
   /// chain as of now and merge sets/ops into the parent (the OCC image
-  /// of lock inheritance). Fails with retryable Status::Aborted when a
-  /// sibling's merged write invalidated an observation.
-  Status OccMergeIntoParent();
+  /// of lock inheritance), counting the sets into `h->keys`. Fails with
+  /// retryable Status::Aborted when a sibling's merged write invalidated
+  /// an observation.
+  Status OccMergeIntoParent(Handoff* h);
   /// Top-level commit: LockManager::OccCommit, traced or not, then fill
   /// the block it reserved (EmitOccCommit).
   Status OccInstall(Handoff* h);

@@ -4,6 +4,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -73,31 +75,54 @@ bool SpinUntil(uint64_t deadline_ns, const Done& done) {
   }
 }
 
-// Software CRC32 (reflected 0xEDB88320), table-driven. Plenty for the
-// framing check; records are small and flushes already pay a syscall.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+// Slicing-by-8 tables for the reflected 0xEDB88320 polynomial: t[0] is
+// the bytewise table, and t[k][b] is the CRC of byte b followed by k zero
+// bytes, so eight table loads fold eight bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
-uint32_t Crc32(const char* data, size_t n) {
-  const uint32_t* t = Crc32Table();
+}  // namespace
+
+uint32_t WalCrc32(const char* data, size_t n) {
+  const Crc32Tables& t = Crc32Table();
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = t[(c ^ static_cast<uint8_t>(data[i])) & 0xFF] ^ (c >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      uint32_t lo = 0;
+      uint32_t hi = 0;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
+
+namespace {
 
 uint32_t DecodeU32(const char* p) {
   uint32_t v;
@@ -141,7 +166,7 @@ uint32_t FrameLen(const char* frame, size_t avail) {
   if (avail < 8) return 0;
   const uint32_t len = DecodeU32(frame);
   if (len < 12 || len > kMaxRecordLen || size_t{8} + len > avail) return 0;
-  if (Crc32(frame + 8, len) != DecodeU32(frame + 4)) return 0;
+  if (WalCrc32(frame + 8, len) != DecodeU32(frame + 4)) return 0;
   return len;
 }
 
@@ -452,7 +477,7 @@ Result<WalTicket> WriteAheadLog::AppendRecord(uint64_t shard_hint,
     payload.clear();
     AppendU64(&payload, seq);
     payload.append(body);
-    AppendU32(&sh.buffer, Crc32(payload.data(), payload.size()));
+    AppendU32(&sh.buffer, WalCrc32(payload.data(), payload.size()));
     sh.buffer.append(payload);
     sh.buffered_seq = seq;
     if (sh.buffer_min_seq == 0) sh.buffer_min_seq = seq;
@@ -820,7 +845,7 @@ Status WriteAheadLog::LoadManifestLocked() {
   const uint32_t crc = DecodeU32(data.data() + kMagicLen + 4);
   if (len < 4 || kMagicLen + 8 + len != data.size()) return corrupt();
   const char* payload = data.data() + kMagicLen + 8;
-  if (Crc32(payload, len) != crc) return corrupt();
+  if (WalCrc32(payload, len) != crc) return corrupt();
   const uint32_t ngen = DecodeU32(payload);
   if (ngen > 8) return corrupt();
   size_t p = 4;
@@ -851,7 +876,7 @@ Status WriteAheadLog::StoreManifestLocked() {
   }
   std::string data(kManifestMagic, kMagicLen);
   AppendU32(&data, static_cast<uint32_t>(payload.size()));
-  AppendU32(&data, Crc32(payload.data(), payload.size()));
+  AppendU32(&data, WalCrc32(payload.data(), payload.size()));
   data.append(payload);
   return WriteFileAtomic(options_.wal_dir + "/" + kManifestName, data,
                          /*inject_short_write=*/false);
@@ -891,7 +916,7 @@ Status WriteAheadLog::LoadSnapshot(
       return bad;
     }
     const char* payload = data.data() + pos + 8;
-    if (Crc32(payload, len) != crc) return bad;
+    if (WalCrc32(payload, len) != crc) return bad;
     pos += 8 + len;
     if (!saw_header) {
       if (len != 16) return bad;
@@ -1092,7 +1117,7 @@ Status WriteAheadLog::Checkpoint(const BaseScan& scan,
   std::string snap(kSnapMagic, kMagicLen);
   const auto append_frame = [&snap](const std::string& payload) {
     AppendU32(&snap, static_cast<uint32_t>(payload.size()));
-    AppendU32(&snap, Crc32(payload.data(), payload.size()));
+    AppendU32(&snap, WalCrc32(payload.data(), payload.size()));
     snap.append(payload);
   };
   {

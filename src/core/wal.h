@@ -158,6 +158,10 @@
 
 namespace nestedtx {
 
+/// CRC32 of every log, snapshot and manifest frame: the reflected
+/// 0xEDB88320 polynomial (zlib's), computed eight bytes at a time.
+uint32_t WalCrc32(const char* data, size_t n);
+
 /// One entry of a commit image: a put (value set) or a delete (nullopt
 /// tombstone). A transaction's image is a vector of these sorted by key,
 /// the form both AppendImage and LockManager::OccCommit take.

@@ -572,11 +572,39 @@ std::vector<ReturnKind> ReturnKinds() {
     kinds.push_back(k);
   }
   {
+    // Releases nothing and appends no event; the span counts the
+    // buffered Add's read and write entries, as a commit attempt does.
+    ReturnKind k = Kind("OCC top-level abort", CcMode::kMossRW,
+                          CcProtocol::kOcc);
+    k.setup = TopAddsA;
+    k.commit = false;
+    k.deltas.aborted = k.deltas.top_aborted = 1;
+    k.deltas.txn = 1;
+    k.span_status = Status::Code::kAborted;
+    k.keys_touched = 2;
+    k.events = [](const TransactionId& t, EngineTraceRecorder&) {
+      return std::vector<Event>{Event::Abort(t), Event::ReportAbort(t)};
+    };
+    kinds.push_back(k);
+  }
+  {
     // OCC children release nothing and are invisible to the trace.
     ReturnKind k = Kind("OCC child merge", CcMode::kMossRW,
                           CcProtocol::kOcc);
     k.setup = ChildAddsA;
     k.deltas.committed = 1;
+    k.keys_touched = 2;
+    k.events = NoEvents;
+    kinds.push_back(k);
+  }
+  {
+    ReturnKind k = Kind("OCC child abort", CcMode::kMossRW,
+                          CcProtocol::kOcc);
+    k.setup = ChildAddsA;
+    k.commit = false;
+    k.deltas.aborted = 1;
+    k.span_status = Status::Code::kAborted;
+    k.keys_touched = 2;
     k.events = NoEvents;
     kinds.push_back(k);
   }
@@ -596,6 +624,7 @@ std::vector<ReturnKind> ReturnKinds() {
     k.status = Status::Code::kAborted;
     k.deltas.aborted = k.deltas.occ_validation_aborts = 1;
     k.span_status = Status::Code::kAborted;
+    k.keys_touched = 1;
     k.events = NoEvents;
     kinds.push_back(k);
   }

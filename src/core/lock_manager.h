@@ -244,11 +244,12 @@ class LockManager {
     return Grant(*held.key, txn, nullptr, trace, &held);
   }
 
-  /// Whether the seqlock read lane can hit at all right now (lock word
-  /// on, no recorder attached). Lets callers skip fast-path setup work
-  /// (e.g. Transaction::TryGet's in-place handle lookup) when every
-  /// attempt is doomed to fall through anyway.
-  bool FastReadLanePossible() const {
+  /// True when the mutex-free lanes may run at all: the lock word is on
+  /// and no trace recorder demands mutex-ordered event emission. Lets
+  /// callers skip fast-path setup work (e.g. the guard in front of
+  /// Transaction's in-place repeat-read lane) when every attempt would
+  /// fall through anyway.
+  bool FastLanesEnabled() const {
     return options_.lock_word_enabled && recorder_ == nullptr;
   }
 
@@ -257,11 +258,10 @@ class LockManager {
   /// stores, never updates `held` (a hit proves the handle is current).
   /// False on any mismatch — tracing on, lock word off, stale or
   /// escalated word — with `*out` untouched; callers fall back to the
-  /// full reacquire path. Exposed so Transaction::TryGet can run the
-  /// lane in place on its cached handle without the handle copy-out /
-  /// write-back glue of the general path.
+  /// full reacquire path. Exposed so Transaction can run the lane in
+  /// place on its inventory entry, behind its own plain-load guard.
   bool TryFastReadLane(const HeldLock& held, std::optional<int64_t>* out) {
-    if (options_.lock_word_enabled && recorder_ == nullptr && held.read &&
+    if (FastLanesEnabled() && held.read &&
         (held.word & (kWordInflated | kWordMicro)) == 0 &&
         held.hot != nullptr) {
       const uint64_t w1 = held.hot->word.load(std::memory_order_acquire);
@@ -512,12 +512,6 @@ class LockManager {
 
   // Doom-registry scan behind IsDoomed's inline nothing-doomed exit.
   bool IsDoomedSlow(const TransactionId& txn) const;
-
-  // True when the mutex-free lanes may run at all: the option is on and
-  // no trace recorder demands mutex-ordered event emission.
-  bool FastLanesEnabled() const {
-    return options_.lock_word_enabled && recorder_ == nullptr;
-  }
 
   // Escalate: caller holds the key mutex. Acquires the micro bit
   // (draining any in-flight fast section) and publishes the INFLATED

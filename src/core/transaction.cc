@@ -11,7 +11,7 @@ namespace nestedtx {
 namespace {
 
 // Position of `key` in a vector sorted by its entries' `key` field (the
-// key inventory, the write image, the OCC read set).
+// write image, the OCC read set).
 template <typename Entry>
 typename std::vector<Entry>::iterator FindKey(std::vector<Entry>& entries,
                                               const std::string& key) {
@@ -20,11 +20,31 @@ typename std::vector<Entry>::iterator FindKey(std::vector<Entry>& entries,
       [](const Entry& e, const std::string& k) { return e.key < k; });
 }
 
+// The key inventory's search (sorted, unique keys): the entry for `key`
+// and true, else its insert position and false. One three-way compare
+// per step, so a hit stops at the entry.
+std::pair<std::vector<LockManager::KeyHold>::iterator, bool> FindHold(
+    std::vector<LockManager::KeyHold>& keys, const std::string& key) {
+  size_t lo = 0;
+  size_t hi = keys.size();
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    const int c = keys[mid].key.compare(key);
+    if (c == 0) return {keys.begin() + mid, true};
+    if (c < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return {keys.begin() + lo, false};
+}
+
 // Sorted-unique insert; an existing entry (and its cached handle) wins.
 void InsertKey(std::vector<LockManager::KeyHold>& keys,
-               const LockManager::KeyHold& entry) {
-  auto it = FindKey(keys, entry.key);
-  if (it == keys.end() || it->key != entry.key) keys.insert(it, entry);
+               LockManager::KeyHold&& entry) {
+  auto [it, found] = FindHold(keys, entry.key);
+  if (!found) keys.insert(it, std::move(entry));
 }
 
 // Upsert into a sorted write image: the later write of a key wins.
@@ -187,37 +207,6 @@ Status Transaction::CheckActive() const {
 
 void Transaction::Cancel() { manager_->locks().DoomSubtree(id_); }
 
-const AccessTraceInfo* Transaction::PrepareAccess(
-    const std::string& key, uint32_t op_code, Value op_arg,
-    AccessTraceInfo* info, LockManager::HeldLock* held, size_t* idx) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = FindKey(keys_, key);
-  if (it == keys_.end() || it->key != key) {
-    it = keys_.insert(it, LockManager::KeyHold{key, {}});
-  }
-  *idx = static_cast<size_t>(it - keys_.begin());
-  *held = it->held;
-  if (manager_->locks().trace_recorder() == nullptr) return nullptr;
-  // Accesses are children of this transaction in the model; they share
-  // the child-index space with subtransactions.
-  info->access_id = id_.Child(child_counter_++);
-  info->op_code = op_code;
-  info->op_arg = op_arg;
-  return info;
-}
-
-void Transaction::CacheHeld(size_t idx, const std::string& key,
-                            const LockManager::HeldLock& held) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (idx < keys_.size() && keys_[idx].key == key) {
-    keys_[idx].held = held;
-    return;
-  }
-  // A committing child merged entries in and shifted the index.
-  auto it = FindKey(keys_, key);
-  if (it != keys_.end() && it->key == key) it->held = held;
-}
-
 void Transaction::RecordWrite(const std::string& key,
                               std::optional<int64_t> value) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -233,8 +222,8 @@ void Transaction::AddToAggregate(Value v) {
 Result<std::optional<int64_t>> Transaction::Access(
     const std::string& key, uint32_t op_code, Value op_arg,
     const LockManager::Mutator* m) {
-  RETURN_IF_ERROR(CheckActive());
   if (occ_) {
+    RETURN_IF_ERROR(CheckActive());
     // Optimistic: nothing is locked until commit. A read, or an Add (the
     // one write that observes the old value), records a read dependency;
     // a write buffers its result in the image. Commit validates both.
@@ -261,22 +250,49 @@ Result<std::optional<int64_t>> Transaction::Access(
     }
     return v;
   }
-  AccessTraceInfo info;
-  LockManager::HeldLock held;
-  size_t idx = 0;
-  const AccessTraceInfo* trace =
-      PrepareAccess(key, op_code, op_arg, &info, &held, &idx);
-  SpanAccessScope span_scope(this);
-  const LockManager::HeldLock before = held;
-  Result<std::optional<int64_t>> r =
-      manager_->locks().Access(LockOwner(), key, m, trace, held);
-  if (!r.ok()) return r;
-  // A repeat lane that left the handle as it was proved the cache
-  // current: no write-back.
-  if (held.word != before.word || held.read != before.read ||
-      held.write != before.write) {
-    CacheHeld(idx, key, held);
+  // The one search of the owner-only inventory.
+  if (keys_pending_.load(std::memory_order_acquire)) AdoptPendingKeys();
+  LockManager& locks = manager_->locks();
+  auto [it, known] = FindHold(keys_, key);
+  // Repeat-read lane, in place on the entry just found: a hit proves the
+  // handle current, so nothing is written back. The guard restates
+  // CheckActive with plain loads (no Status on the hot path): flat-2PL
+  // dooming needs the ancestor walk, so that mode, like sampled spans
+  // (their wait accounting must stay complete), takes the grant path
+  // below, as do exclusive-mode reads (they pass a mutator). The lane
+  // itself bails when the word has moved.
+  if (known && m == nullptr && locks.FastLanesEnabled() &&
+      manager_->options().cc_mode != CcMode::kFlat2PL && !span_sampled_ &&
+      !returned_.load(std::memory_order_relaxed) &&
+      !doomed_.load(std::memory_order_relaxed) && !locks.IsDoomed(id_)) {
+    std::optional<int64_t> v;
+    if (locks.TryFastReadLane(it->held, &v)) return v;
   }
+  RETURN_IF_ERROR(CheckActive());
+  if (!known) {
+    if (keys_.capacity() == 0) {
+      keys_.reserve(kInventoryReserve);
+      it = keys_.end();
+    }
+    it = keys_.insert(it, LockManager::KeyHold{key, {}});
+  }
+  AccessTraceInfo info;
+  const AccessTraceInfo* trace = nullptr;
+  if (locks.trace_recorder() != nullptr) {
+    // Accesses are children of this transaction in the model; they share
+    // the child-index space with subtransactions.
+    std::lock_guard<std::mutex> lock(mutex_);
+    info.access_id = id_.Child(child_counter_++);
+    info.op_code = op_code;
+    info.op_arg = op_arg;
+    trace = &info;
+  }
+  SpanAccessScope span_scope(this);
+  // The lock manager updates the entry's handle in place: only the owner
+  // touches keys_, so the entry stays put across the call.
+  Result<std::optional<int64_t>> r =
+      locks.Access(LockOwner(), key, m, trace, it->held);
+  if (!r.ok()) return r;
   if (op_code != ops::kRead && manager_->wal() != nullptr) {
     RecordWrite(key, *r);
   }
@@ -285,31 +301,10 @@ Result<std::optional<int64_t>> Transaction::Access(
 }
 
 Result<std::optional<int64_t>> Transaction::TryGet(const std::string& key) {
-  // Repeat-read fast path: if we already hold `key`, try the seqlock
-  // lane in place on the cached handle. A hit proves the handle is
-  // current, so none of the general path's handle copy-out, access-id
-  // bookkeeping, or write-back happens. The guard re-states CheckActive
-  // with plain loads (no Status construction on the hot path): flat-2PL
-  // dooming needs the ancestor walk, so that mode — like exclusive-read
-  // mode and sampled spans (their wait accounting must stay complete) —
-  // takes the general path below. OCC handles hold nothing. The lane
-  // itself bails when tracing is on or the word has moved.
-  const CcMode cc_mode = manager_->options().cc_mode;
-  if (!occ_ && manager_->locks().FastReadLanePossible() &&
-      cc_mode != CcMode::kExclusive && cc_mode != CcMode::kFlat2PL &&
-      !span_sampled_ && !returned_.load(std::memory_order_relaxed) &&
-      !doomed_.load(std::memory_order_relaxed) &&
-      !manager_->locks().IsDoomed(id_)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = FindKey(keys_, key);
-    if (it != keys_.end() && it->key == key) {
-      std::optional<int64_t> v;
-      if (manager_->locks().TryFastReadLane(it->held, &v)) return v;
-    }
-  }
   // Exclusive locking: reads take write locks.
   return Access(key, ops::kRead, 0,
-                cc_mode == CcMode::kExclusive ? &kCopy : nullptr);
+                manager_->options().cc_mode == CcMode::kExclusive ? &kCopy
+                                                                  : nullptr);
 }
 
 Result<std::optional<int64_t>> Transaction::GetForUpdate(
@@ -378,18 +373,37 @@ Result<std::unique_ptr<Transaction>> Transaction::BeginChild() {
   return child;
 }
 
-void Transaction::MergeKeysIntoParent(
-    const std::vector<LockManager::KeyHold>& keys) {
+void Transaction::HandKeysToParent(std::vector<LockManager::KeyHold> keys) {
   // Cached handles ride along: their KeyState pointers stay valid, and a
-  // handle whose epoch/modes no longer fit the parent simply falls back
-  // to the full grant path (see lock_manager.h on inherited handles).
+  // handle whose word or modes no longer fit the parent simply falls back
+  // to the full grant path (lock_manager.h, "Hot-path fast lane").
+  if (keys.empty()) return;
   std::lock_guard<std::mutex> lock(parent_->mutex_);
-  for (const LockManager::KeyHold& k : keys) InsertKey(parent_->keys_, k);
+  parent_->pending_keys_.push_back(std::move(keys));
+  parent_->keys_pending_.store(true, std::memory_order_release);
+}
+
+void Transaction::AdoptPendingKeys() {
+  std::vector<std::vector<LockManager::KeyHold>> pending;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending.swap(pending_keys_);
+    keys_pending_.store(false, std::memory_order_relaxed);
+  }
+  for (std::vector<LockManager::KeyHold>& batch : pending) {
+    if (keys_.empty()) {
+      keys_.swap(batch);
+      continue;
+    }
+    for (LockManager::KeyHold& k : batch) InsertKey(keys_, std::move(k));
+  }
 }
 
 std::vector<LockManager::KeyHold> Transaction::TakeKeys() {
+  // A child's hand-off happens before its active_children_ decrement, so
+  // a return, which waits for that count to reach 0, always sees it.
+  if (keys_pending_.load(std::memory_order_acquire)) AdoptPendingKeys();
   std::vector<LockManager::KeyHold> keys;
-  std::lock_guard<std::mutex> lock(mutex_);
   keys.swap(keys_);
   return keys;
 }
@@ -460,11 +474,11 @@ Status Transaction::Pass(Handoff* h) {
     rec->Emit(Event::Commit(id_));
   }
   // The inventory is swapped out once and the same vector feeds both the
-  // batched release and the parent merge — no deep copy of the key
-  // strings on the commit path. Flat-mode locks already belong to the
+  // batched release and the hand-off to the parent — no deep copy of the
+  // key strings on the commit path. Flat-mode locks already belong to the
   // top-level id: a child commit releases nothing and only hands its
   // inventory up, so the top-level release sees everything.
-  const std::vector<LockManager::KeyHold> keys = TakeKeys();
+  std::vector<LockManager::KeyHold> keys = TakeKeys();
   h->keys = keys.size();
   h->released =
       parent_ == nullptr || manager_->options().cc_mode != CcMode::kFlat2PL;
@@ -480,7 +494,7 @@ Status Transaction::Pass(Handoff* h) {
     if (h->ticket.seq != 0) wal->NoteCommitReleased(h->ticket);
     return Status::OK();
   }
-  MergeKeysIntoParent(keys);
+  HandKeysToParent(std::move(keys));
   // The WAL face of lock inheritance: only the top-level commit ever
   // reaches the log — the paper's "only top-level commit is externally
   // meaningful".
@@ -526,14 +540,14 @@ Status Transaction::AbortTail(Status cause, Handoff h) {
     std::lock_guard<std::mutex> lock(mutex_);
     h.keys += writes_.size() + occ_reads_.size();
   } else {
-    const std::vector<LockManager::KeyHold> keys = TakeKeys();
+    std::vector<LockManager::KeyHold> keys = TakeKeys();
+    h.keys += keys.size();
     if (flat_child) {
       TopLevel()->doomed_.store(true);
-      MergeKeysIntoParent(keys);
+      HandKeysToParent(std::move(keys));
     } else {
       manager_->locks().OnAbort(LockOwner(), keys);
     }
-    h.keys += keys.size();
     h.released = !flat_child;
   }
   return Finish(false, std::move(cause), h);

@@ -13,12 +13,28 @@
 // on a returned or doomed transaction fail. A handle destroyed without
 // returning aborts automatically (RAII).
 //
-// Hot path: each handle keeps a held-lock cache (key -> HeldLock handle
-// from the lock manager). A re-read under a held read/write lock or a
-// re-write under a held write lock goes through the lock manager's
-// Reacquire* fast lane, skipping the shard hash, the conflict scan and
-// the holder-set insert (see lock_manager.h for the epoch-based safety
-// argument).
+// Threading contract: one thread at a time per handle. Every call on a
+// handle, its destructor included, comes from the one thread that owns
+// it at the time; a handle may move between threads with the
+// happens-before of the hand-off. Cancel, BeginChild and the getters
+// returned, active_children and doomed are the exceptions: they touch
+// only atomics and mutex-guarded state, so any thread may call them.
+// Concurrency inside a tree comes from children, each on its own handle
+// and thread, running beside its parent and siblings.
+//
+// Hot path: each locking handle keeps a key inventory, every key it may
+// hold a lock on with the HeldLock handle of its latest grant. Only the
+// owner reads or writes it, so an access searches it once and takes no
+// mutex: a repeat read runs the lock manager's seqlock lane in place on
+// the entry that search found, a re-write runs the held-write CAS lane,
+// and every other access grants through the entry's handle, which the
+// lock manager updates in place (see lock_manager.h for the word-based
+// safety argument). A committing child, or a flat-2PL child that aborts,
+// hands its taken inventory to the parent's pending list under the
+// parent's mutex; the parent folds that list into its inventory at its
+// next access and before its own release, so every inherited key reaches
+// the release batch. A parent that touches a key in the same instant a
+// child commits it misses and takes the grant path on that key.
 //
 // Concurrency-control behaviour per CcMode is documented in options.h.
 #ifndef NESTEDTX_CORE_TRANSACTION_H_
@@ -127,38 +143,30 @@ class Transaction {
   EngineTraceRecorder* TraceRecorder() const;
 
   Status CheckActive() const;
-  /// Swap out this transaction's key inventory (it becomes empty).
+  /// Fold the inventories committed children handed up (pending_keys_)
+  /// into keys_; an entry already there, with its cached handle, wins.
+  /// Owner only, and only once keys_pending_ reads true: an access with
+  /// nothing pending pays that one acquire load.
+  void AdoptPendingKeys();
+  /// Swap out this transaction's key inventory, pending hand-offs folded
+  /// in (it becomes empty). Owner only.
   std::vector<LockManager::KeyHold> TakeKeys();
-  /// Sorted-merge `keys` into the parent's inventory (cached handles ride
-  /// along). The same taken vector serves the batched release first, so
+  /// Hand a taken inventory to the parent's pending list (cached handles
+  /// ride along). The same vector served the batched release first, so
   /// the commit path never deep-copies the key strings.
-  void MergeKeysIntoParent(const std::vector<LockManager::KeyHold>& keys);
+  void HandKeysToParent(std::vector<LockManager::KeyHold> keys);
   Transaction* TopLevel();
 
-  /// The one access body behind GetForUpdate, Put, Add, Delete and
-  /// TryGet's general path. `op_code`/`op_arg` name the model operation;
-  /// `m` maps the observed value to the new one, and a null `m` reads (as
-  /// in LockManager::Grant). A locking handle makes one lock-manager
-  /// call, on its cached handle when it holds the key; an OCC handle
-  /// observes into its read set and buffers writes in its image instead.
+  /// The one access body behind TryGet, GetForUpdate, Put, Add and
+  /// Delete. `op_code`/`op_arg` name the model operation; `m` maps the
+  /// observed value to the new one, and a null `m` reads (as in
+  /// LockManager::Grant). A locking handle searches its inventory once:
+  /// a repeat read tries the seqlock lane in place, and every other
+  /// access makes one lock-manager call on the entry's handle. An OCC
+  /// handle observes into its read set and buffers writes in its image.
   Result<std::optional<int64_t>> Access(const std::string& key,
                                         uint32_t op_code, Value op_arg,
                                         const LockManager::Mutator* m);
-  /// Register `key` in the key inventory, copy out its cached held-lock
-  /// handle (empty if none; plus its inventory index, a hint for
-  /// CacheHeld), and (when tracing) allocate an access child id into
-  /// `info`; returns the info pointer to pass to the lock manager
-  /// (nullptr when not tracing).
-  const AccessTraceInfo* PrepareAccess(const std::string& key,
-                                       uint32_t op_code, Value op_arg,
-                                       AccessTraceInfo* info,
-                                       LockManager::HeldLock* held,
-                                       size_t* idx);
-  /// Store/update the held-lock handle cached for `key`. `idx` is the
-  /// entry's position as of PrepareAccess — revalidated, since committing
-  /// children may have merged entries in since.
-  void CacheHeld(size_t idx, const std::string& key,
-                 const LockManager::HeldLock& held);
   /// Record a write's result in the image (last write of a key wins).
   void RecordWrite(const std::string& key, std::optional<int64_t> value);
 
@@ -251,12 +259,20 @@ class Transaction {
   Transaction* parent_;  // nullptr for top-level
   TransactionId id_;
 
-  // Guards keys_, child_counter_, aggregate_, writes_ and the OCC sets.
+  // Guards pending_keys_, child_counter_, aggregate_, writes_ and the OCC
+  // sets: the state that children and other threads reach.
   std::mutex mutex_;
   /// Keys this transaction may hold locks on, sorted by key, each with
   /// the cached fast-path handle from its latest successful acquire (an
-  /// empty/stale handle just falls back to the full grant path).
+  /// empty/stale handle just falls back to the full grant path). Owner
+  /// only: no mutex. Reserves kInventoryReserve entries on first insert.
   std::vector<LockManager::KeyHold> keys_;
+  static constexpr size_t kInventoryReserve = 16;
+  /// Inventories handed up by committed (and flat-2PL aborted) children,
+  /// not yet folded into keys_. Guarded by mutex_; keys_pending_ is set
+  /// with each hand-off and cleared by the owner's fold.
+  std::vector<std::vector<LockManager::KeyHold>> pending_keys_;
+  std::atomic<bool> keys_pending_{false};
   uint32_t child_counter_ = 0;
   /// The write image: the final value of every key this subtree wrote,
   /// sorted by key. A child folds its image into its parent's at commit
@@ -279,10 +295,8 @@ class Transaction {
 
   // Observability scratch. begin_ns_ is stamped once at construction
   // (metrics enabled only); span_ accumulates while span_sampled_ and is
-  // pushed to the span log exactly once, at commit/abort. Like the rest
-  // of a handle's sequencing state, the span scratch assumes the usual
-  // one-thread-at-a-time use of a single handle (concurrency comes from
-  // children, each with its own handle and span).
+  // pushed to the span log exactly once, at commit/abort. Owner only, as
+  // keys_ (the class's threading contract).
   uint64_t begin_ns_ = 0;
   TxnSpan span_;
   bool span_sampled_ = false;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -143,6 +146,126 @@ TEST(EngineConcurrencyTest, ConcurrentChildrenOfOneParent) {
   for (int i = 0; i < kChildren; ++i) {
     EXPECT_EQ(db.ReadCommitted(StrCat("k", i)).value(), i);
   }
+}
+
+TEST(EngineConcurrencyTest, ChildrenCommitIntoABusyParent) {
+  // A parent keeps reading and adding on its own thread, on keys it
+  // shares with its children and on keys it does not, while children on
+  // other threads access and then commit or abort into it. The parent's
+  // commit must install every committed subtree's Adds, and its release
+  // must free every key, those it inherited included.
+  EngineOptions o = Opts(CcMode::kMossRW);
+  o.lock_timeout = std::chrono::seconds(10);  // waits here are not faults
+  Database db(o);
+  constexpr int kChildren = 4;
+  constexpr int kRounds = 12;  // even, so the last round is odd
+  constexpr int kShared = 4;
+  constexpr int kOwn = 3;  // keys only one party touches
+  // Shared keys, the parent's own keys, and fresh own keys for each child
+  // of each round, which reach the parent only through the hand-off.
+  auto shared = [](int i) { return StrCat("s", i); };
+  auto parent_key = [](int i) { return StrCat("p", i); };
+  auto child_key = [](int round, int c, int i) {
+    return StrCat("c", round, "_", c, "_", i);
+  };
+  std::vector<std::string> keys;
+  for (int i = 0; i < kShared; ++i) keys.push_back(shared(i));
+  for (int i = 0; i < kOwn; ++i) keys.push_back(parent_key(i));
+  for (int round = 0; round < kRounds; ++round) {
+    for (int c = 0; c < kChildren; ++c) {
+      for (int i = 0; i < kOwn; ++i) keys.push_back(child_key(round, c, i));
+    }
+  }
+  std::map<std::string, int64_t> expected;
+  for (const std::string& key : keys) expected[key] = 0;
+
+  auto parent = db.Begin();
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::unique_ptr<Transaction>> children;
+    for (int c = 0; c < kChildren; ++c) {
+      auto child = parent->BeginChild();
+      ASSERT_TRUE(child.ok());
+      children.push_back(std::move(*child));
+    }
+    // Even rounds: the parent works on shared and own keys until every
+    // child has returned, so hand-offs land between its accesses. Odd
+    // rounds, the last one included: the parent works on its own keys
+    // only and then opens the commit gate, so every hand-off lands after
+    // its last access and waits for the next round's first access or for
+    // the parent's commit.
+    const bool overlap = round % 2 == 0;
+    std::atomic<bool> commit_gate{overlap};
+    // Each child's Adds, kept only if its commit succeeds.
+    std::vector<std::map<std::string, int64_t>> committed(kChildren);
+    std::atomic<int> running{kChildren};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kChildren; ++c) {
+      threads.emplace_back([&, c] {
+        Transaction& t = *children[c];
+        Rng rng(round * 131 + c * 7 + 1);
+        std::map<std::string, int64_t> adds;
+        bool ok = true;
+        // Shared keys in ascending order, written before they are read:
+        // siblings never wait in a cycle, and no child ever waits for its
+        // parent (an ancestor).
+        for (int i = 0; i < kShared && ok; ++i) {
+          if (rng.Bernoulli(0.5)) continue;
+          ok = t.Add(shared(i), c + 1).ok() && t.TryGet(shared(i)).ok();
+          if (ok) adds[shared(i)] += c + 1;
+        }
+        for (int i = 0; i < kOwn && ok; ++i) {
+          const std::string key = child_key(round, c, i);
+          ok = t.Add(key, 1).ok() && t.TryGet(key).ok();
+          if (ok) adds[key] += 1;
+        }
+        while (!commit_gate.load()) std::this_thread::yield();
+        if (ok && rng.Bernoulli(0.7) && t.Commit().ok()) {
+          committed[c] = std::move(adds);
+        } else if (!t.returned()) {
+          (void)t.Abort();
+        }
+        running.fetch_sub(1);
+      });
+    }
+    // The parent's own work, on this thread.
+    bool parent_ok = true;
+    for (int i = 0;
+         parent_ok && (i < 2 * kShared || (overlap && running.load() != 0));
+         ++i) {
+      const std::string own_key = parent_key(i % kOwn);
+      const std::string shared_key = shared(i % kShared);
+      parent_ok = parent->Add(own_key, 1).ok() && parent->TryGet(own_key).ok();
+      if (parent_ok) ++expected[own_key];
+      if (parent_ok && overlap) {
+        parent_ok = parent->TryGet(shared_key).ok();
+        if (parent_ok && i % 3 == 0) {
+          parent_ok = parent->Add(shared_key, 100).ok();
+          if (parent_ok) expected[shared_key] += 100;
+        }
+      }
+    }
+    commit_gate.store(true);
+    for (auto& t : threads) t.join();
+    ASSERT_TRUE(parent_ok);
+    for (const auto& adds : committed) {
+      for (const auto& [key, delta] : adds) expected[key] += delta;
+    }
+  }
+  ASSERT_TRUE(parent->Commit().ok());
+  for (const std::string& key : keys) {
+    EXPECT_EQ(db.ReadCommitted(key).value_or(0), expected[key]) << key;
+    const LockManager::KeySnapshotForTest snap =
+        db.manager().locks().SnapshotKeyForTest(key);
+    ASSERT_TRUE(snap.read_holders.empty() && snap.write_holders.empty())
+        << key;
+  }
+  // Every key is free: another top-level transaction writes each one
+  // without waiting.
+  const uint64_t waits = db.stats().Snapshot().lock_waits;
+  auto w = db.Begin();
+  for (const std::string& key : keys) ASSERT_TRUE(w->Put(key, -1).ok());
+  ASSERT_TRUE(w->Commit().ok());
+  EXPECT_EQ(db.stats().Snapshot().lock_waits, waits);
 }
 
 TEST(EngineConcurrencyTest, SiblingsShareParentContext) {

@@ -294,6 +294,47 @@ TEST(TransactionModeTest, MossChildAbortKeepsParentAlive) {
   EXPECT_EQ(db.ReadCommitted("other").value(), 1);
 }
 
+TEST(TransactionModeTest, AbortReleasesKeysOnlyAChildTouched) {
+  // The parent touches nothing itself: every lock it holds came up from
+  // its committed child (Moss inheritance, or flat 2PL's shared owner).
+  // Its Abort() must still release each of them and discard the child's
+  // writes.
+  for (CcMode mode : {CcMode::kMossRW, CcMode::kFlat2PL}) {
+    SCOPED_TRACE(CcModeName(mode));
+    Database db(FastTimeout(mode));
+    db.Preload("a", 1);
+    const std::vector<std::string> keys = {"a", "b", "c"};
+    {
+      auto t = db.Begin();
+      auto c = t->BeginChild();
+      ASSERT_TRUE(c.ok());
+      ASSERT_TRUE((*c)->Add("a", 10).ok());
+      ASSERT_TRUE((*c)->Put("b", 5).ok());
+      ASSERT_TRUE((*c)->TryGet("c").ok());
+      ASSERT_TRUE((*c)->Commit().ok());
+      ASSERT_TRUE(t->Abort().ok());
+    }
+    for (const std::string& key : keys) {
+      const LockManager::KeySnapshotForTest snap =
+          db.manager().locks().SnapshotKeyForTest(key);
+      EXPECT_TRUE(snap.read_holders.empty()) << key;
+      EXPECT_TRUE(snap.write_holders.empty()) << key;
+      EXPECT_TRUE(snap.versions.empty()) << key;
+    }
+    EXPECT_EQ(db.ReadCommitted("a").value(), 1);
+    EXPECT_FALSE(db.ReadCommitted("b").has_value());
+    // Another top-level transaction writes every key without waiting.
+    const uint64_t waits = db.stats().Snapshot().lock_waits;
+    auto w = db.Begin();
+    for (const std::string& key : keys) ASSERT_TRUE(w->Put(key, 7).ok());
+    ASSERT_TRUE(w->Commit().ok());
+    EXPECT_EQ(db.stats().Snapshot().lock_waits, waits);
+    for (const std::string& key : keys) {
+      EXPECT_EQ(db.ReadCommitted(key).value(), 7) << key;
+    }
+  }
+}
+
 TEST(TransactionModeTest, SerialModeStillCorrect) {
   Database db(FastTimeout(CcMode::kSerial));
   ASSERT_TRUE(db.RunTransaction(1, [](Transaction& t) {

@@ -38,9 +38,10 @@ namespace {
 //       repeat lanes) and nothing was installed (OCC validation).
 constexpr uint64_t BumpSeq(uint64_t w) { return LockWordBumpSeq(w); }
 
-// Fast paths give up after this many failed tries for the MICRO bit;
-// sustained micro contention is a conflict signal, and the slow path's
-// escalation is the designed response.
+// Fast lanes stop spinning after this many failed tries for the MICRO
+// bit and wait for it behind the key's stripe mutex instead
+// (AcquireMicroBehindStripe): a busy bit is contention on the word, not a
+// Moss conflict, and never inflates the key.
 constexpr int kFastSpinBudget = 64;
 
 }  // namespace
@@ -109,9 +110,29 @@ uint64_t AcquireMicroLocked(LockManager::KeyState& ks) {
   }
 }
 
-// Bounded-spin MICRO acquisition for the fast lanes (no mutex held). On
-// success *pre receives the pre-CAS word (INFLATED and MICRO clear).
-bool TryAcquireMicro(LockManager::KeyState& ks, uint64_t* pre) {
+// The fast lanes' wait for the MICRO bit once their spin budget is spent.
+// Behind the key's stripe mutex, which excludes new inflations, the wait
+// is unbounded, and the stripe's other spent lanes sleep on the mutex
+// instead of spinning. The mutex is dropped once the bit is held: a
+// lane's section, like every fast section, needs only the bit. False when
+// the key inflated first. Out of line: an uncontended lane never waits.
+[[gnu::noinline]] bool AcquireMicroBehindStripe(LockManager::KeyState& ks,
+                                                std::mutex& stripe,
+                                                uint64_t* pre) {
+  std::lock_guard<std::mutex> lock(stripe);
+  if (ks.hot.word.load(std::memory_order_relaxed) & kWordInflated) {
+    return false;
+  }
+  *pre = AcquireMicroLocked(ks);
+  return true;
+}
+
+// MICRO acquisition for the fast lanes (`stripe` is the key's stripe
+// mutex, not held). On success *pre receives the pre-CAS word (INFLATED
+// and MICRO clear). False only when the key is inflated: a spin budget
+// spent on a busy bit falls back to AcquireMicroBehindStripe.
+bool TryAcquireMicro(LockManager::KeyState& ks, std::mutex& stripe,
+                     uint64_t* pre) {
   for (int spin = 0; spin < kFastSpinBudget; ++spin) {
     uint64_t w = ks.hot.word.load(std::memory_order_relaxed);
     if (w & kWordInflated) return false;
@@ -126,7 +147,7 @@ bool TryAcquireMicro(LockManager::KeyState& ks, uint64_t* pre) {
       return true;
     }
   }
-  return false;
+  return AcquireMicroBehindStripe(ks, stripe, pre);
 }
 
 // Micro-bit scope for inspection paths (snapshots, base access) that
@@ -668,7 +689,7 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
   if (doomed_count_.load(std::memory_order_relaxed) != 0) return false;
   if (FailPoints::Armed(FailPoints::kLockGrant)) return false;
   uint64_t w;
-  if (!TryAcquireMicro(ks, &w)) return false;
+  if (!TryAcquireMicro(ks, StripeOf(ks).m, &w)) return false;
   // Moss compatibility over the real holder sets (tiny sorted vectors).
   // Any conflict escalates: a conflicter is a would-be waiter, and
   // waiting lives on the mutex path.
@@ -906,7 +927,7 @@ bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
     return false;
   }
   uint64_t w;
-  if (!TryAcquireMicro(ks, &w)) return false;
+  if (!TryAcquireMicro(ks, StripeOf(ks).m, &w)) return false;
   // Uninflated ⇒ no parked waiters (nothing to wake) and no recorder
   // (nothing to emit): the release is pure structure surgery plus the
   // scratch's counter intents.
@@ -965,11 +986,11 @@ void LockManager::ReleaseBatch(const TransactionId& txn,
 
   // Phase 1: per key — resolve the KeyState (a cached handle's pointer,
   // else the lock-free lookup) and release it. Uninflated keys resolve
-  // entirely under the MICRO bit (no mutex, no wakeups to pend);
-  // inflated (or contended) keys fall to that key's stripe mutex: inherit
-  // or purge, trace event, wakeup/count intents into the scratch. No
-  // notifies. A key this release quiesces deflates back to the fast
-  // regime.
+  // entirely under the MICRO bit (no wakeups to pend; the stripe mutex
+  // only to wait out a spent spin budget); inflated keys fall to that
+  // key's stripe mutex: inherit or purge, trace event, wakeup/count
+  // intents into the scratch. No notifies. A key this release quiesces
+  // deflates back to the fast regime.
   const bool fast = FastLanesEnabled();
   for (size_t i = 0; i < n; ++i) {
     const HeldLock* held = held_of(i);

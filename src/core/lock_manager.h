@@ -28,15 +28,17 @@
 // read-read sharing and releases of quiescent keys cost one CAS plus a
 // short critical section, and a same-holder repeat read is a pure
 // seqlock validation (two relaxed-cost atomic loads around the value
-// cache, no store at all). On any conflict, would-be-waiter arrival, or
-// Moss event the word cannot express (waiting, doom, tracing, armed
-// failpoints), the key *inflates*: a slow-path entrant sets INFLATED
-// under the key mutex (its stripe's; see "Thin entries"), after which
-// fast paths bail on sight and the key mutex alone protects the key —
-// exactly the original design. A release that leaves a key with no
-// holders and no waiters *deflates* it back to the fast regime.
-// `lock_word_enabled = false` births every key inflated, recovering the
-// pure-mutex manager.
+// cache, no store at all). A fast lane that spends its bounded spin on a
+// busy MICRO bit has met contention, not a conflict: it waits for the bit
+// behind the key mutex instead, and the key stays uninflated. On any
+// conflict, would-be-waiter arrival, or Moss event the word cannot
+// express (waiting, doom, tracing, armed failpoints), the key *inflates*:
+// a slow-path entrant sets INFLATED under the key mutex (its stripe's;
+// see "Thin entries"), after which fast paths bail on sight and the key
+// mutex alone protects the key — exactly the original design. A release
+// that leaves a key with no holders and no waiters *deflates* it back to
+// the fast regime. `lock_word_enabled = false` births every key inflated,
+// recovering the pure-mutex manager.
 //
 // Thin entries (Bacon et al.'s thin locks): the slow path's mutex,
 // condition variable and wait profile are not in the key's entry. Each
@@ -102,17 +104,18 @@
 // cached handle's pointer directly, else the lock-free lookup above) and
 // release it: uninflated keys are released entirely under the MICRO bit
 // (no waiters can exist on an uninflated key, so there is nothing to
-// wake and no mutex to take); inflated keys apply the INFORM_COMMIT_AT /
-// INFORM_ABORT_AT state change (inherit or purge) under that key's
-// mutex and record which keys' holder sets changed; (2) with no key
-// mutex held, bump the batch's counters once and call notify_all once
-// per stripe of a changed key (duplicate notify requests — e.g. a
-// dual-mode read+write holder, or two keys on one stripe — are coalesced
-// first). Wakeups are requested only for keys with a parked waiter: each
-// KeyState counts waiters under its key mutex, and since a waiter holds
-// that mutex continuously from wake to re-park, a releaser either sees
-// it parked (and notifies) or the waiter re-checks against the
-// post-release state — the skip loses no wakeup.
+// wake; the key mutex is taken only to wait for a bit whose spin budget
+// ran out); inflated keys apply the INFORM_COMMIT_AT / INFORM_ABORT_AT
+// state change (inherit or purge) under that key's mutex and record
+// which keys' holder sets changed; (2) with no key mutex held, bump the
+// batch's counters once and call notify_all once per stripe of a changed
+// key (duplicate notify requests — e.g. a dual-mode read+write holder, or
+// two keys on one stripe — are coalesced first). Wakeups are requested
+// only for keys with a parked waiter: each KeyState counts waiters under
+// its key mutex, and since a waiter holds that mutex continuously from
+// wake to re-park, a releaser either sees it parked (and notifies) or the
+// waiter re-checks against the post-release state — the skip loses no
+// wakeup.
 //
 // Trace-order safety of the batching (Theorem 34): the recorded
 // per-object event order must be the order the lock manager enforced.
@@ -502,9 +505,10 @@ class LockManager {
 
   // The one grant path behind AcquireRead/Write and every Reacquire*
   // miss (`mutator` null means read): the one-CAS fast grant when the
-  // lanes are on, else wait for the grant under the key mutex, which
-  // inflates the key and checks Moss's rule, then insert the holder and
-  // emit the access's trace group there.
+  // lanes are on, else (a conflict, doom, armed failpoint, inflated key
+  // or recorder) wait for the grant under the key mutex, which inflates
+  // the key and checks Moss's rule, then insert the holder and emit the
+  // access's trace group there.
   Result<std::optional<int64_t>> Grant(KeyState& ks, const TransactionId& txn,
                                        const Mutator* mutator,
                                        const AccessTraceInfo* trace,
@@ -526,9 +530,10 @@ class LockManager {
 
   // One-CAS grant attempt on an uninflated key: scan the holder sets for
   // Moss conflicts under the micro bit and insert the holder if clear.
-  // Returns false — escalating nothing by itself — on inflated or
-  // contended words, on any conflict, when any subtree is doomed, or
-  // when the grant failpoint is armed. `mutator` is required iff
+  // Returns false — escalating nothing by itself — on an inflated word,
+  // on any conflict, when any subtree is doomed, or when the grant
+  // failpoint is armed; never for a busy word (a spent spin budget waits
+  // for the bit behind the key mutex). `mutator` is required iff
   // `exclusive`.
   bool TryFastAcquire(KeyState& ks, const TransactionId& txn,
                       bool exclusive, const Mutator* mutator,
@@ -536,9 +541,10 @@ class LockManager {
                       Result<std::optional<int64_t>>* result);
 
   // Micro-bit release of an uninflated key for ReleaseBatch phase 1
-  // (commit when parent != nullptr, abort otherwise). No wakeups and no
-  // trace events are ever owed here: waiters imply inflation, tracing
-  // disables the fast lanes.
+  // (commit when parent != nullptr, abort otherwise). False only on an
+  // inflated word or an armed release failpoint; a busy word waits, as in
+  // TryFastAcquire. No wakeups and no trace events are ever owed here:
+  // waiters imply inflation, tracing disables the fast lanes.
   struct ReleaseScratch;
   bool TryFastRelease(KeyState& ks, const TransactionId& txn,
                       const TransactionId* parent, ReleaseScratch& scratch);

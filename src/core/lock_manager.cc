@@ -82,6 +82,39 @@ struct alignas(64) LockManager::KeyState {
   // are always the same transactions, so one sorted vector serves both.
   VersionMap write_holders;
   std::optional<int64_t> base;
+
+  // The rules of M(X), one copy each. The caller owns the key under
+  // either guard, the MICRO bit of an uninflated word or the stripe mutex
+  // of an inflated one; each regime adds only its own side effects
+  // (lock_manager.h, "One copy of each M(X) rule").
+
+  // The value txn observes: deepest write holder's version, else base.
+  std::optional<int64_t> CurrentValue() const;
+  // Moss's compatibility test: whether a request by txn conflicts with a
+  // holder (a read with a non-ancestor writer, a write with any
+  // non-ancestor holder). With `out` (empty on entry), every conflicting
+  // holder is appended, each once; without, the scan stops at the first.
+  bool Conflicts(const TransactionId& txn, bool exclusive,
+                 std::vector<TransactionId>* out = nullptr) const;
+  // Grant a request Conflicts admits (`mutator` null means read): insert
+  // txn and return the value it observes, for a write its new version.
+  // `*added` reports a new holder entry.
+  std::optional<int64_t> ApplyGrant(const TransactionId& txn,
+                                    const Mutator* mutator, bool* added);
+  // The handle of txn's locks on this key, stamped with `word`, right
+  // after a grant of mode `exclusive` (so only the other mode is searched).
+  HeldLock Held(const TransactionId& txn, uint64_t word, bool exclusive) {
+    return HeldLock{this, &hot, word,
+                    !exclusive || read_holders.Contains(txn),
+                    exclusive || write_holders.Contains(txn)};
+  }
+  // INFORM_COMMIT_AT (parent != nullptr: the parent inherits txn's locks
+  // and version; a top-level commit installs the version as base) or
+  // INFORM_ABORT_AT (txn's subtree's entries are purged). Counts the
+  // inherited locks or purged versions into `scratch` and returns how
+  // many holder modes (write, read) changed.
+  uint64_t ApplyRelease(const TransactionId& txn, const TransactionId* parent,
+                        ReleaseScratch& scratch);
 };
 
 static_assert(sizeof(LockManager::KeyState) <= 128 &&
@@ -375,15 +408,51 @@ size_t LockManager::StripeForTest(const std::string& key) const {
   return StripeIndex(std::hash<std::string>{}(key));
 }
 
-inline std::optional<int64_t> LockManager::CurrentValue(const KeyState& ks) {
+inline std::optional<int64_t> LockManager::KeyState::CurrentValue() const {
   const VersionMap::Entry* deepest = nullptr;
-  for (const VersionMap::Entry& e : ks.write_holders) {
+  for (const VersionMap::Entry& e : write_holders) {
     if (deepest == nullptr || e.id.Depth() > deepest->id.Depth()) {
       deepest = &e;
     }
   }
   if (deepest != nullptr) return deepest->value;
-  return ks.base;
+  return base;
+}
+
+// `inline`: without it GCC calls the scan out of line from the fast
+// grant, a cost that lane measurably paid (EXPERIMENTS E29).
+inline bool LockManager::KeyState::Conflicts(
+    const TransactionId& txn, bool exclusive,
+    std::vector<TransactionId>* out) const {
+  for (const VersionMap::Entry& e : write_holders) {
+    if (e.id.IsAncestorOf(txn)) continue;
+    if (out == nullptr) return true;
+    out->push_back(e.id);
+  }
+  if (exclusive) {
+    for (const TransactionId& r : read_holders) {
+      // A transaction holding both lock modes is one conflicter, not two
+      // — duplicates would inflate every wait-graph edge set it appears
+      // in and the AddWait cycle checks over them.
+      if (r.IsAncestorOf(txn) || write_holders.Contains(r)) continue;
+      if (out == nullptr) return true;
+      out->push_back(r);
+    }
+  }
+  return out != nullptr && !out->empty();
+}
+
+std::optional<int64_t> LockManager::KeyState::ApplyGrant(
+    const TransactionId& txn, const Mutator* mutator, bool* added) {
+  if (mutator == nullptr) {
+    *added = read_holders.Insert(txn);
+    return CurrentValue();
+  }
+  // All write holders are ancestors of txn, so txn is (or becomes) the
+  // deepest writer: its new version IS the current value.
+  const std::optional<int64_t> value = (*mutator)(CurrentValue());
+  *added = write_holders.Put(txn, value);
+  return value;
 }
 
 namespace {
@@ -423,32 +492,10 @@ void LockManager::MaybeDeflateLocked(KeyState& ks) {
   // word is ours to rewrite. The seq bump invalidates any handle that
   // predates the inflation (its owner is gone — a live holder would have
   // blocked the deflation — but a stale exact-word match must stay
-  // impossible).
-  ks.hot.value.store(ks.base.value_or(0), std::memory_order_relaxed);
-  uint64_t nw = BumpSeq(w) & kWordSeqMask;
-  if (ks.base.has_value()) nw |= kWordPresent;
-  ks.hot.word.store(nw, std::memory_order_release);
+  // impossible). With no holder left, the cache is the base.
+  ks.hot.word.store(RefreshValueCache(ks, ks.base, BumpSeq(w) & kWordSeqMask),
+                    std::memory_order_release);
   stats_->Add(kStatLockWordDeflations);
-}
-
-std::vector<TransactionId> LockManager::Conflicts(const KeyState& ks,
-                                                  const TransactionId& txn,
-                                                  bool exclusive) {
-  std::vector<TransactionId> out;
-  for (const VersionMap::Entry& e : ks.write_holders) {
-    if (!e.id.IsAncestorOf(txn)) out.push_back(e.id);
-  }
-  if (exclusive) {
-    for (const TransactionId& r : ks.read_holders) {
-      // A transaction holding both lock modes is one conflicter, not two
-      // — duplicates would inflate every wait-graph edge set it appears
-      // in and the AddWait cycle checks over them.
-      if (!r.IsAncestorOf(txn) && !ks.write_holders.Contains(r)) {
-        out.push_back(r);
-      }
-    }
-  }
-  return out;
 }
 
 std::vector<TransactionId> LockManager::ConflictsForTest(
@@ -456,7 +503,9 @@ std::vector<TransactionId> LockManager::ConflictsForTest(
   KeyState& ks = GetKeyState(key);
   std::lock_guard<std::mutex> lock(StripeOf(ks).m);
   WordSection section(ks);
-  return Conflicts(ks, txn, exclusive);
+  std::vector<TransactionId> out;
+  ks.Conflicts(txn, exclusive, &out);
+  return out;
 }
 
 void LockManager::DoomSubtree(const TransactionId& root) {
@@ -598,8 +647,8 @@ Status LockManager::WaitForGrant(KeyState& ks,
           StrCat(txn, " cancelled while waiting (subtree doomed by "
                       "ancestor abort)"));
     }
-    std::vector<TransactionId> conflicts = Conflicts(ks, txn, exclusive);
-    if (conflicts.empty()) return Status::OK();
+    std::vector<TransactionId> conflicts;
+    if (!ks.Conflicts(txn, exclusive, &conflicts)) return Status::OK();
     const ConflictPolicy::Decision d = policy_->OnConflict(txn, conflicts);
     if (d.action == ConflictPolicy::Decision::Action::kAbort) {
       registered = false;  // a rejecting policy never leaves an entry
@@ -668,7 +717,7 @@ Status LockManager::WaitForGrant(KeyState& ks,
             StrCat(txn, " cancelled while waiting (subtree doomed by "
                         "ancestor abort)"));
       }
-      if (Conflicts(ks, txn, exclusive).empty()) return Status::OK();
+      if (!ks.Conflicts(txn, exclusive)) return Status::OK();
       stats_->Add(kStatLockTimeouts);
       return Status::TimedOut(
           StrCat(txn, " timed out waiting for lock on key"));
@@ -678,8 +727,7 @@ Status LockManager::WaitForGrant(KeyState& ks,
 }
 
 bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
-                                 bool exclusive, const Mutator* mutator,
-                                 HeldLock* held,
+                                 const Mutator* mutator, HeldLock* held,
                                  Result<std::optional<int64_t>>* result) {
   // Bail to the slow path whenever the word cannot speak for the whole
   // grant decision: a doomed subtree anywhere (WaitForGrant must get the
@@ -690,57 +738,22 @@ bool LockManager::TryFastAcquire(KeyState& ks, const TransactionId& txn,
   if (FailPoints::Armed(FailPoints::kLockGrant)) return false;
   uint64_t w;
   if (!TryAcquireMicro(ks, StripeOf(ks).m, &w)) return false;
-  // Moss compatibility over the real holder sets (tiny sorted vectors).
   // Any conflict escalates: a conflicter is a would-be waiter, and
   // waiting lives on the mutex path.
-  bool conflict = false;
-  for (const VersionMap::Entry& e : ks.write_holders) {
-    if (!e.id.IsAncestorOf(txn)) {
-      conflict = true;
-      break;
-    }
-  }
-  if (!conflict && exclusive) {
-    for (const TransactionId& r : ks.read_holders) {
-      if (!r.IsAncestorOf(txn)) {
-        conflict = true;
-        break;
-      }
-    }
-  }
-  if (conflict) {
+  if (ks.Conflicts(txn, mutator != nullptr)) {
     ks.hot.word.store(w, std::memory_order_release);
     return false;
   }
-  uint64_t nw = w;
-  std::optional<int64_t> out;
-  if (!exclusive) {
-    if (ks.read_holders.Insert(txn)) nw = BumpSeq(nw);
-    out = (w & kWordPresent)
-              ? std::optional<int64_t>(
-                    ks.hot.value.load(std::memory_order_relaxed))
-              : std::nullopt;
-    if (held != nullptr) {
-      *held = HeldLock{&ks, &ks.hot, nw, /*read=*/true,
-                       /*write=*/ks.write_holders.Contains(txn)};
-    }
-    ks.hot.word.store(nw, std::memory_order_release);
-    stats_->Bump(kStatFastReadGrants);
-  } else {
-    // All write holders are ancestors of txn, so txn is (or becomes) the
-    // deepest writer: its new version IS the current value.
-    const std::optional<int64_t> current = CurrentValue(ks);
-    out = (*mutator)(current);
-    if (ks.write_holders.Put(txn, out)) nw = BumpSeq(nw);
-    nw = RefreshValueCache(ks, out, nw);
-    if (held != nullptr) {
-      *held = HeldLock{&ks, &ks.hot, nw, /*read=*/ks.read_holders.Contains(txn),
-                       /*write=*/true};
-    }
-    ks.hot.word.store(nw, std::memory_order_release);
-    stats_->Bump(kStatFastWriteGrants);
-  }
-  *result = out;
+  bool added = false;
+  const std::optional<int64_t> value = ks.ApplyGrant(txn, mutator, &added);
+  uint64_t nw = added ? BumpSeq(w) : w;
+  // A write's new version is the value every conflict-free reader now
+  // observes; a read leaves the cache as it was.
+  if (mutator != nullptr) nw = RefreshValueCache(ks, value, nw);
+  if (held != nullptr) *held = ks.Held(txn, nw, mutator != nullptr);
+  ks.hot.word.store(nw, std::memory_order_release);
+  stats_->Bump(mutator != nullptr ? kStatFastWriteGrants : kStatFastReadGrants);
+  *result = value;
   return true;
 }
 
@@ -759,36 +772,25 @@ Result<std::optional<int64_t>> LockManager::AcquireWrite(
 Result<std::optional<int64_t>> LockManager::Grant(
     KeyState& ks, const TransactionId& txn, const Mutator* mutator,
     const AccessTraceInfo* trace, HeldLock* held) {
-  const bool exclusive = mutator != nullptr;
   if (FastLanesEnabled()) {
     // A stale or write-only handle on a (possibly still) uninflated key
     // retries as a fast cold grant too: a sibling reader moving the seq
     // must not escalate read-read sharing to the mutex path.
     Result<std::optional<int64_t>> result = std::optional<int64_t>{};
-    if (TryFastAcquire(ks, txn, exclusive, mutator, held, &result)) {
-      return result;
-    }
+    if (TryFastAcquire(ks, txn, mutator, held, &result)) return result;
   }
   std::unique_lock<std::mutex> lk(StripeOf(ks).m);
-  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, exclusive));
+  RETURN_IF_ERROR(WaitForGrant(ks, lk, txn, mutator != nullptr));
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kLockGrant));
   FailPoints::MaybeDelay(FailPoints::kLockGrant);
   // The key is inflated now, so the insert owes no seq bump: INFLATED
   // alone keeps every handle off the exact-word lanes.
-  std::optional<int64_t> value;
-  if (exclusive) {
-    value = (*mutator)(CurrentValue(ks));
-    (void)ks.write_holders.Put(txn, value);
-    stats_->Add2(kStatLockGrants, kStatWrites);
-  } else {
-    (void)ks.read_holders.Insert(txn);
-    value = CurrentValue(ks);
-    stats_->Add2(kStatLockGrants, kStatReads);
-  }
+  bool added = false;
+  const std::optional<int64_t> value = ks.ApplyGrant(txn, mutator, &added);
+  stats_->Add2(kStatLockGrants, mutator != nullptr ? kStatWrites : kStatReads);
   if (held != nullptr) {
-    *held = HeldLock{&ks, &ks.hot, ks.hot.word.load(std::memory_order_relaxed),
-                     /*read=*/ks.read_holders.Contains(txn),
-                     /*write=*/ks.write_holders.Contains(txn)};
+    *held = ks.Held(txn, ks.hot.word.load(std::memory_order_relaxed),
+                    mutator != nullptr);
   }
   if (recorder_ != nullptr && trace != nullptr) {
     // Emitted under the stripe mutex: the recorded per-object order is
@@ -798,38 +800,34 @@ Result<std::optional<int64_t>> LockManager::Grant(
   return value;
 }
 
-Result<std::optional<int64_t>> LockManager::ReacquireWrite(
-    HeldLock& held, const TransactionId& txn, const Mutator& mutator,
-    const AccessTraceInfo* trace) {
-  KeyState& ks = *held.key;
-  if (FastLanesEnabled()) {
-    // Held-write lane: one CAS from the exact granted word to word|MICRO
-    // proves the holder sets are untouched and txn is still the deepest
-    // writer; mutate its slot and the value cache in place. The word
-    // only changes if the write flips presence (a new value under the
-    // same holders keeps every sibling handle, including this one,
-    // exactly valid).
-    if (held.write && (held.word & (kWordInflated | kWordMicro)) == 0) {
-      uint64_t expected = held.word;
-      if (ks.hot.word.compare_exchange_strong(expected, held.word | kWordMicro,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        const std::optional<int64_t> current =
-            (held.word & kWordPresent)
-                ? std::optional<int64_t>(
-                      ks.hot.value.load(std::memory_order_relaxed))
-                : std::nullopt;
-        const std::optional<int64_t> next = mutator(current);
-        (void)ks.write_holders.Put(txn, next);  // held: assign, not insert
-        const uint64_t nw = RefreshValueCache(ks, next, held.word);
-        held.word = nw;
-        ks.hot.word.store(nw, std::memory_order_release);
-        stats_->Bump(kStatFastWriteReacquires);
-        return next;
-      }
-    }
+bool LockManager::TryFastWriteLane(HeldLock& held, const TransactionId& txn,
+                                   const Mutator& mutator,
+                                   std::optional<int64_t>* out) {
+  // One CAS from the exact granted word to word|MICRO proves the holder
+  // sets are untouched and txn is still the deepest writer; mutate its
+  // slot and the value cache in place. The word only changes if the write
+  // flips presence (a new value under the same holders keeps every
+  // sibling handle, including this one, exactly valid).
+  if (!FastLanesEnabled() || !held.write ||
+      (held.word & (kWordInflated | kWordMicro)) != 0) {
+    return false;
   }
-  return Grant(ks, txn, &mutator, trace, &held);
+  KeyState& ks = *held.key;
+  uint64_t expected = held.word;
+  if (!ks.hot.word.compare_exchange_strong(expected, held.word | kWordMicro,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+    return false;
+  }
+  *out = mutator((held.word & kWordPresent)
+                     ? std::optional<int64_t>(
+                           ks.hot.value.load(std::memory_order_relaxed))
+                     : std::nullopt);
+  (void)ks.write_holders.Put(txn, *out);  // held: assign, not insert
+  held.word = RefreshValueCache(ks, *out, held.word);
+  ks.hot.word.store(held.word, std::memory_order_release);
+  stats_->Bump(kStatFastWriteReacquires);
+  return true;
 }
 
 // Batch-local bookkeeping: counters accumulated while stripe mutexes (or
@@ -866,6 +864,40 @@ struct LockManager::ReleaseScratch {
   }
 };
 
+uint64_t LockManager::KeyState::ApplyRelease(const TransactionId& txn,
+                                             const TransactionId* parent,
+                                             ReleaseScratch& scratch) {
+  if (parent == nullptr) {
+    // Abort: discard entries of txn and (defensively) any stray
+    // descendants.
+    const auto in_subtree = [&](const TransactionId& id) {
+      return txn.IsAncestorOf(id);
+    };
+    const size_t writes = write_holders.EraseIf(in_subtree);
+    scratch.discarded += writes;  // each write holder owned one version slot
+    return (writes > 0) + (read_holders.EraseIf(in_subtree) > 0);
+  }
+  uint64_t modes = 0;
+  if (parent->IsRoot()) {
+    // Top-level commit: release the locks, install the version as base.
+    if (auto version = write_holders.TryTake(txn)) {
+      base = *version;
+      ++modes;
+    }
+    modes += read_holders.Erase(txn);
+  } else {
+    // Subtransaction commit: the parent takes the child's place — and
+    // inherits its version — in one sorted-vector pass per mode.
+    for (const ReplaceOutcome outcome :
+         {write_holders.ReplaceWithAncestor(txn, *parent),
+          read_holders.ReplaceWithAncestor(txn, *parent)}) {
+      modes += outcome != ReplaceOutcome::kAbsent;
+    }
+  }
+  scratch.inherited += modes;
+  return modes;
+}
+
 void LockManager::ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
                                    const TransactionId* parent,
                                    ReleaseScratch& scratch) {
@@ -873,33 +905,7 @@ void LockManager::ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
   // stripe's cv — the release-side race surface the storm tests lean on.
   FailPoints::MaybeDelay(parent != nullptr ? FailPoints::kCommitInherit
                                            : FailPoints::kAbortPurge);
-  uint64_t modes = 0;  // holder modes (write, read) this release changed
-  if (parent == nullptr) {
-    // Abort: discard entries of txn and (defensively) any stray
-    // descendants.
-    const auto in_subtree = [&](const TransactionId& id) {
-      return txn.IsAncestorOf(id);
-    };
-    const size_t writes = ks.write_holders.EraseIf(in_subtree);
-    scratch.discarded += writes;  // each write holder owned one version slot
-    modes = (writes > 0) + (ks.read_holders.EraseIf(in_subtree) > 0);
-  } else if (parent->IsRoot()) {
-    // Top-level commit: release the locks, install the version as base.
-    if (auto version = ks.write_holders.TryTake(txn)) {
-      ks.base = *version;
-      ++modes;
-    }
-    modes += ks.read_holders.Erase(txn);
-  } else {
-    // Subtransaction commit: the parent takes the child's place — and
-    // inherits its version — in one sorted-vector pass per mode.
-    for (const ReplaceOutcome outcome :
-         {ks.write_holders.ReplaceWithAncestor(txn, *parent),
-          ks.read_holders.ReplaceWithAncestor(txn, *parent)}) {
-      modes += outcome != ReplaceOutcome::kAbsent;
-    }
-  }
-  if (parent != nullptr) scratch.inherited += modes;
+  const uint64_t modes = ks.ApplyRelease(txn, parent, scratch);
   // Wakeups only if some thread is actually parked on this key — the
   // waiter-count handshake (see KeyState::waiters) makes the skip
   // lossless.
@@ -929,44 +935,13 @@ bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
   uint64_t w;
   if (!TryAcquireMicro(ks, StripeOf(ks).m, &w)) return false;
   // Uninflated ⇒ no parked waiters (nothing to wake) and no recorder
-  // (nothing to emit): the release is pure structure surgery plus the
-  // scratch's counter intents.
-  bool changed = false;
-  if (parent != nullptr) {
-    if (parent->IsRoot()) {
-      if (auto version = ks.write_holders.TryTake(txn)) {
-        ks.base = *version;
-        ++scratch.inherited;
-        changed = true;
-      }
-      if (ks.read_holders.Erase(txn)) {
-        ++scratch.inherited;
-        changed = true;
-      }
-    } else {
-      for (const ReplaceOutcome outcome :
-           {ks.write_holders.ReplaceWithAncestor(txn, *parent),
-            ks.read_holders.ReplaceWithAncestor(txn, *parent)}) {
-        if (outcome == ReplaceOutcome::kAbsent) continue;
-        ++scratch.inherited;
-        changed = true;
-      }
-    }
-  } else {
-    const auto in_subtree = [&](const TransactionId& id) {
-      return txn.IsAncestorOf(id);
-    };
-    const size_t writes = ks.write_holders.EraseIf(in_subtree);
-    const size_t reads = ks.read_holders.EraseIf(in_subtree);
-    scratch.discarded += writes;
-    changed = writes + reads > 0;
-  }
+  // (nothing to emit): the release is the rule plus the word's upkeep.
   uint64_t nw = w;
-  if (changed) {
+  if (ks.ApplyRelease(txn, parent, scratch) > 0) {
     // Any structural change bumps the seq here (removals included, unlike
     // the inflated path): the seqlock lane keys its value cache to the
     // exact word, and an abort purge can move the current value.
-    nw = RefreshValueCache(ks, CurrentValue(ks), BumpSeq(w));
+    nw = RefreshValueCache(ks, ks.CurrentValue(), BumpSeq(w));
   }
   ks.hot.word.store(nw, std::memory_order_release);
   return true;
@@ -1142,14 +1117,17 @@ Status LockManager::OccCommit(const std::vector<WalWrite>& writes,
   };
   std::vector<WriteLock> locked;
   locked.reserve(writes.size());
-  auto fail = [&](std::string msg) {
-    // Back out: restore the pre-lock words untouched (no seq bump — the
-    // aborted commit made no observable change).
+  // Back out: restore the pre-lock words untouched (no seq bump — the
+  // aborted commit made no observable change).
+  auto back_out = [&](Status why) {
     for (const WriteLock& lw : locked) {
       lw.ks->hot.word.store(lw.pre, std::memory_order_release);
     }
+    return why;
+  };
+  auto fail = [&](std::string msg) {
     stats_->Add(kStatOccValidationAborts);
-    return Status::Aborted(std::move(msg));
+    return back_out(Status::Aborted(std::move(msg)));
   };
   for (const WalWrite& w : writes) {
     KeyState& ks = GetKeyState(w.key);
@@ -1229,12 +1207,7 @@ Status LockManager::OccCommit(const std::vector<WalWrite>& writes,
   if (wal_ != nullptr && wal_ticket != nullptr && !writes.empty()) {
     Result<WalTicket> t = wal_->AppendImage(wal_shard_hint, writes,
                                             /*release_follows=*/true);
-    if (!t.ok()) {
-      for (const WriteLock& lw : locked) {
-        lw.ks->hot.word.store(lw.pre, std::memory_order_release);
-      }
-      return t.status();
-    }
+    if (!t.ok()) return back_out(t.status());
     *wal_ticket = *t;
   }
   // (3) Install: each write becomes the committed base; the release
@@ -1268,7 +1241,7 @@ void LockManager::SetBase(const std::string& key,
     // The base feeds the value cache when no writer holds the key; bump
     // the seq so any (preexisting) handle revalidates.
     section.set_word(
-        RefreshValueCache(ks, CurrentValue(ks), BumpSeq(section.word())));
+        RefreshValueCache(ks, ks.CurrentValue(), BumpSeq(section.word())));
   }
 }
 

@@ -59,17 +59,27 @@
 // memory.
 //
 // Hot-path fast lane: a successful acquire can hand back a HeldLock
-// handle {key state, word snapshot, held modes}. Re-acquiring under it
-// (Reacquire*) skips the key lookup, and two repeat lanes skip the grant
-// too: the seqlock read lane and the held-write CAS lane. Both need the
-// exact granted word, and an inflated word never qualifies (nothing under
-// the key mutex moves the word, so that test alone keeps the lanes off the
+// handle {key state, word snapshot, held modes}. An Access under it skips
+// the key lookup, and two repeat lanes skip the grant too: the seqlock
+// read lane and the held-write CAS lane. Both need the exact granted
+// word, and an inflated word never qualifies (nothing under the key mutex
+// moves the word, so that test alone keeps the lanes off the
 // unmaintained value cache of an inflated key). The fast regime bumps the
 // seq on every structural change, inflation sets INFLATED and deflation
 // bumps the seq, so an exact match proves the holder sets are as granted;
 // the value cache is then the value this owner observes (only a write
 // holder, the owner or an ancestor, can rewrite it in place). Every miss
 // takes the one grant path (Grant), which checks Moss's rule again.
+//
+// One copy of each M(X) rule: Moss's compatibility test (Conflicts), the
+// grant (ApplyGrant) and INFORM_COMMIT_AT / INFORM_ABORT_AT (ApplyRelease)
+// are functions on the KeyState, which run under either guard. Each
+// regime adds only its own side effects. The word regime (TryFastAcquire,
+// TryFastRelease) adds the seq bump, the value-cache refresh and one
+// counter bump; the mutex regime (Grant, ReleaseKeyLocked) adds the wait,
+// the failpoints, the wakeup intents and the trace events. The held-write
+// lane's in-place rewrite of its owner's version is the only holder-set
+// change outside those rules.
 //
 // Key lookup (disjoint-access parallelism, DESIGN.md §5): the lock table
 // is a fixed set of shards, each an insert-only open-addressing array of
@@ -226,27 +236,6 @@ class LockManager {
       const Mutator& mutator, const AccessTraceInfo* trace = nullptr,
       HeldLock* held = nullptr);
 
-  /// Re-acquire a read lock on the key of `held`, which must come from a
-  /// prior successful acquire by the same `txn` on this manager. Takes the
-  /// seqlock lane when the word is exactly as granted, else the grant
-  /// path on the same key. Updates `held` in place.
-  ///
-  /// Inline seqlock lane — THE repeat-read hot path: an exact word match
-  /// (which implies INFLATED and MICRO clear), re-validated after reading
-  /// the value cache, proves the holder sets are untouched since our
-  /// grant and the cache is the value we observe. No store, no lock, no
-  /// structure walk — and, inlined here, no cross-TU call. A concurrent
-  /// ancestor writer that leaves the word unchanged (pure value rewrite)
-  /// is legal in either order; one that touches flags or seq forces the
-  /// w2 mismatch.
-  Result<std::optional<int64_t>> ReacquireRead(
-      HeldLock& held, const TransactionId& txn,
-      const AccessTraceInfo* trace = nullptr) {
-    std::optional<int64_t> v;
-    if (TryFastReadLane(held, &v)) return v;
-    return Grant(*held.key, txn, nullptr, trace, &held);
-  }
-
   /// True when the mutex-free lanes may run at all: the lock word is on
   /// and no trace recorder demands mutex-ordered event emission. Lets
   /// callers skip fast-path setup work (e.g. the guard in front of
@@ -256,13 +245,14 @@ class LockManager {
     return options_.lock_word_enabled && recorder_ == nullptr;
   }
 
-  /// The seqlock lane alone: serve a repeat read from `held`'s value
-  /// cache iff the lock word is exactly as granted. Never blocks, never
-  /// stores, never updates `held` (a hit proves the handle is current).
-  /// False on any mismatch — tracing on, lock word off, stale or
-  /// escalated word — with `*out` untouched; callers fall back to the
-  /// full reacquire path. Exposed so Transaction can run the lane in
-  /// place on its inventory entry, behind its own plain-load guard.
+  /// The seqlock lane, THE repeat-read hot path: serve a repeat read from
+  /// `held`'s value cache iff the word, re-read after the cache, is
+  /// exactly as granted (see "Hot-path fast lane"). A concurrent ancestor
+  /// writer that leaves the word unchanged (pure value rewrite) is legal
+  /// in either order. Never blocks, stores or updates `held`. False on
+  /// any mismatch (tracing on, lock word off, stale or escalated word),
+  /// with `*out` untouched; callers fall back to Access. Exposed so
+  /// Transaction can run it in place on its inventory entry.
   bool TryFastReadLane(const HeldLock& held, std::optional<int64_t>* out) {
     if (FastLanesEnabled() && held.read &&
         (held.word & (kWordInflated | kWordMicro)) == 0 &&
@@ -284,15 +274,12 @@ class LockManager {
     return false;
   }
 
-  /// Write-lock counterpart of ReacquireRead.
-  Result<std::optional<int64_t>> ReacquireWrite(
-      HeldLock& held, const TransactionId& txn, const Mutator& mutator,
-      const AccessTraceInfo* trace = nullptr);
-
-  /// One access through a caller's handle cache: the repeat lanes when
-  /// `held` came from an earlier grant to `txn` (its key is set), else a
-  /// cold grant on `key`. A null `mutator` reads, as in Grant. On success
-  /// `held` is the current handle.
+  /// One access through a caller's handle cache (a null `mutator`
+  /// reads, as in Grant). A handle from an earlier grant to `txn` on this
+  /// manager (its key is set) first tries its mode's repeat lane: the
+  /// seqlock read lane or the held-write lane. A miss grants on the
+  /// handle's key, and an empty handle grants on `key`. On success `held`
+  /// is the current handle.
   Result<std::optional<int64_t>> Access(const TransactionId& txn,
                                         const std::string& key,
                                         const Mutator* mutator,
@@ -301,8 +288,12 @@ class LockManager {
     if (held.key == nullptr) {
       return Grant(GetKeyState(key), txn, mutator, trace, &held);
     }
-    if (mutator == nullptr) return ReacquireRead(held, txn, trace);
-    return ReacquireWrite(held, txn, *mutator, trace);
+    std::optional<int64_t> v;
+    if (mutator == nullptr ? TryFastReadLane(held, &v)
+                           : TryFastWriteLane(held, txn, *mutator, &v)) {
+      return v;
+    }
+    return Grant(*held.key, txn, mutator, trace, &held);
   }
 
   /// A key a transaction touched, with its cached fast-path handle (the
@@ -451,7 +442,7 @@ class LockManager {
   /// indices share a key mutex and a condition variable.
   size_t StripeForTest(const std::string& key) const;
 
-  /// Test hook: the conflict set Conflicts() would hand the wait graph
+  /// Test hook: the conflict set Moss's test would hand the wait graph
   /// for this request (exposes the holder-dedupe contract). Enumerates
   /// holders through the same snapshot discipline as SnapshotKeyForTest —
   /// never assumes the key mutex alone protects an uninflated key.
@@ -503,12 +494,12 @@ class LockManager {
   // mutex and makes no store (see "Key lookup" in the header comment).
   KeyState& GetKeyState(const std::string& key);
 
-  // The one grant path behind AcquireRead/Write and every Reacquire*
-  // miss (`mutator` null means read): the one-CAS fast grant when the
-  // lanes are on, else (a conflict, doom, armed failpoint, inflated key
-  // or recorder) wait for the grant under the key mutex, which inflates
-  // the key and checks Moss's rule, then insert the holder and emit the
-  // access's trace group there.
+  // The one grant path behind AcquireRead/Write and every repeat-lane
+  // miss of Access (`mutator` null means read): the one-CAS fast grant
+  // when the lanes are on, else (a conflict, doom, armed failpoint,
+  // inflated key or recorder) wait for the grant under the key mutex,
+  // which inflates the key and checks Moss's rule, then apply the grant
+  // and emit the access's trace group there.
   Result<std::optional<int64_t>> Grant(KeyState& ks, const TransactionId& txn,
                                        const Mutator* mutator,
                                        const AccessTraceInfo* trace,
@@ -528,23 +519,28 @@ class LockManager {
   // refresh the value cache from the base and clear INFLATED.
   void MaybeDeflateLocked(KeyState& ks);
 
-  // One-CAS grant attempt on an uninflated key: scan the holder sets for
-  // Moss conflicts under the micro bit and insert the holder if clear.
-  // Returns false — escalating nothing by itself — on an inflated word,
-  // on any conflict, when any subtree is doomed, or when the grant
-  // failpoint is armed; never for a busy word (a spent spin budget waits
-  // for the bit behind the key mutex). `mutator` is required iff
-  // `exclusive`.
+  // The held-write CAS lane behind Access. Never blocks; false on any
+  // mismatch, with `*out` untouched.
+  bool TryFastWriteLane(HeldLock& held, const TransactionId& txn,
+                        const Mutator& mutator, std::optional<int64_t>* out);
+
+  // One-CAS grant attempt on an uninflated key: under the micro bit, the
+  // grant rule of Grant's inflated path (Conflicts, then ApplyGrant) plus
+  // the word's upkeep (seq bump, value-cache refresh). Returns false —
+  // escalating nothing by itself — on an inflated word, on any conflict,
+  // when any subtree is doomed, or when the grant failpoint is armed;
+  // never for a busy word (a spent spin budget waits for the bit behind
+  // the key mutex).
   bool TryFastAcquire(KeyState& ks, const TransactionId& txn,
-                      bool exclusive, const Mutator* mutator,
-                      HeldLock* held,
+                      const Mutator* mutator, HeldLock* held,
                       Result<std::optional<int64_t>>* result);
 
   // Micro-bit release of an uninflated key for ReleaseBatch phase 1
-  // (commit when parent != nullptr, abort otherwise). False only on an
-  // inflated word or an armed release failpoint; a busy word waits, as in
-  // TryFastAcquire. No wakeups and no trace events are ever owed here:
-  // waiters imply inflation, tracing disables the fast lanes.
+  // (commit when parent != nullptr, abort otherwise): ApplyRelease plus
+  // the word's upkeep. False only on an inflated word or an armed release
+  // failpoint; a busy word waits, as in TryFastAcquire. No wakeups and no
+  // trace events are ever owed here: waiters imply inflation, tracing
+  // disables the fast lanes.
   struct ReleaseScratch;
   bool TryFastRelease(KeyState& ks, const TransactionId& txn,
                       const TransactionId* parent, ReleaseScratch& scratch);
@@ -559,22 +555,13 @@ class LockManager {
   void ReleaseBatch(const TransactionId& txn, const TransactionId* parent,
                     size_t n, const KeyOf& key_of, const HeldOf& held_of);
 
-  // The one release body for an inflated key; caller holds the key mutex.
-  // Applies INFORM_COMMIT_AT (commit when parent != nullptr) or
-  // INFORM_ABORT_AT, emits that event, and records counter and wakeup
-  // intents in `scratch` — no locking, no notifying.
+  // The release body for an inflated key; caller holds the key mutex.
+  // ApplyRelease (commit when parent != nullptr, else abort) plus the
+  // mutex regime's side effects: the release failpoint's delay, that
+  // INFORM event and the wakeup intents in `scratch` — no locking, no
+  // notifying.
   void ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
                         const TransactionId* parent, ReleaseScratch& scratch);
-
-  // The value txn observes: deepest write holder's version, else base.
-  // Caller holds the key mutex (inflated) or the micro bit (uninflated).
-  static std::optional<int64_t> CurrentValue(const KeyState& ks);
-
-  // Conflicting holders for the given request (caller holds the key
-  // mutex on an inflated key, or the micro bit).
-  static std::vector<TransactionId> Conflicts(const KeyState& ks,
-                                              const TransactionId& txn,
-                                              bool exclusive);
 
   // Block until no conflicts (or error). Caller holds `lk` on the key
   // mutex and parks on its stripe's condition variable; the loop asserts

@@ -150,7 +150,7 @@ Status RetryExecutor::Run(const Database::TxnBody& body) {
       if (s.ok()) return Status::OK();
     }
     if (!txn->returned()) {
-      if (policy_.cancel_subtree_on_retry) txn->Cancel();
+      txn->Cancel();  // doom the failed tree first, as RunChild does
       AbortQuietly(*txn);
     }
     // A fresh attempt runs under a fresh top-level id, so a Cancelled
@@ -218,7 +218,7 @@ Status RetryExecutor::RunChild(Transaction& parent,
       // Doom the failed subtree FIRST so descendants parked in lock
       // waits on other threads wake with Cancelled now; the abort that
       // follows (once the body's threads unwound) lifts the doom.
-      if (policy_.cancel_subtree_on_retry) (*child)->Cancel();
+      (*child)->Cancel();
       AbortQuietly(**child);
     }
     if (!RetryableForChild(s, parent)) return s;

@@ -72,11 +72,6 @@ struct RetryPolicy {
   /// backoff schedules in tests.
   uint64_t seed = 0xbac0ffULL;
 
-  /// Cancel (doom) a failed subtree before aborting it, so descendants
-  /// parked in lock waits on other threads wake with Status::Cancelled
-  /// immediately instead of sleeping out lock_timeout.
-  bool cancel_subtree_on_retry = true;
-
   /// When a subtree exhausts its attempts, cancel the parent's subtree
   /// before reporting failure: sibling work that can no longer commit
   /// usefully (the parent is about to abort or retry) stops early.

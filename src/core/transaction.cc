@@ -159,7 +159,7 @@ void Transaction::FinishSpan(uint64_t end_ns, size_t keys_touched,
 }
 
 Transaction::~Transaction() {
-  if (!returned_.load()) {
+  if (!returned()) {
     Abort();  // RAII: dropping an open transaction aborts it
   }
 }
@@ -171,12 +171,12 @@ Transaction* Transaction::TopLevel() {
 }
 
 bool Transaction::doomed() const {
-  if (doomed_.load()) return true;
+  if (status_.load() & kDoomed) return true;
   // Only flat 2PL ever dooms a tree; skip the ancestor walk otherwise.
   if (manager_->options().cc_mode != CcMode::kFlat2PL) return false;
   const Transaction* t = parent_;
   while (t != nullptr) {
-    if (t->doomed_.load()) return true;
+    if (t->status_.load() & kDoomed) return true;
     t = t->parent_;
   }
   return false;
@@ -190,7 +190,7 @@ const TransactionId& Transaction::LockOwner() const {
 }
 
 Status Transaction::CheckActive() const {
-  if (returned_.load()) {
+  if (returned()) {
     return Status::FailedPrecondition(
         StrCat(id_, " has already returned"));
   }
@@ -263,8 +263,9 @@ Result<std::optional<int64_t>> Transaction::Access(
   // itself bails when the word has moved.
   if (known && m == nullptr && locks.FastLanesEnabled() &&
       manager_->options().cc_mode != CcMode::kFlat2PL && !span_sampled_ &&
-      !returned_.load(std::memory_order_relaxed) &&
-      !doomed_.load(std::memory_order_relaxed) && !locks.IsDoomed(id_)) {
+      (status_.load(std::memory_order_relaxed) & (kReturned | kDoomed)) ==
+          0 &&
+      !locks.IsDoomed(id_)) {
     std::optional<int64_t> v;
     if (locks.TryFastReadLane(it->held, &v)) return v;
   }
@@ -358,12 +359,19 @@ Result<std::unique_ptr<Transaction>> Transaction::BeginChild() {
   RETURN_IF_ERROR(CheckActive());
   RETURN_IF_ERROR(FailPoints::MaybeFail(FailPoints::kBeginTxn));
   FailPoints::MaybeDelay(FailPoints::kBeginTxn);
+  // Count the child with one CAS that fails once this transaction has
+  // returned: a return that raced past CheckActive above wins.
+  uint32_t s = status_.load();
+  do {
+    if (s & kReturned) {
+      return Status::FailedPrecondition(StrCat(id_, " has already returned"));
+    }
+  } while (!status_.compare_exchange_weak(s, s + 1));
   TransactionId child_id;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     child_id = id_.Child(child_counter_++);
   }
-  active_children_.fetch_add(1);
   std::unique_ptr<Transaction> child(
       new Transaction(manager_, this, std::move(child_id), occ_));
   if (EngineTraceRecorder* rec = child->TraceRecorder()) {
@@ -400,8 +408,8 @@ void Transaction::AdoptPendingKeys() {
 }
 
 std::vector<LockManager::KeyHold> Transaction::TakeKeys() {
-  // A child's hand-off happens before its active_children_ decrement, so
-  // a return, which waits for that count to reach 0, always sees it.
+  // A child's hand-off happens before its child-count decrement, so a
+  // return, which needs that count at 0, always sees it.
   if (keys_pending_.load(std::memory_order_acquire)) AdoptPendingKeys();
   std::vector<LockManager::KeyHold> keys;
   keys.swap(keys_);
@@ -415,15 +423,24 @@ Transaction::Handoff Transaction::StartReturn() {
   return h;
 }
 
+Status Transaction::MarkReturned(const char* verb) {
+  uint32_t s = status_.load();
+  do {
+    if (s & kChildMask) {
+      return Status::FailedPrecondition(
+          StrCat(id_, " cannot ", verb, " with active children"));
+    }
+    if (s & kReturned) {
+      return Status::FailedPrecondition(StrCat(id_, " already returned"));
+    }
+  } while (!status_.compare_exchange_weak(s, s | kReturned));
+  return Status::OK();
+}
+
 Status Transaction::Commit() {
-  if (active_children_.load() != 0) {
-    return Status::FailedPrecondition(
-        StrCat(id_, " cannot commit with active children"));
-  }
-  RETURN_IF_ERROR(CheckActive());
-  if (returned_.exchange(true)) {
-    return Status::FailedPrecondition(StrCat(id_, " already returned"));
-  }
+  // With a child active, MarkReturned's error wins over doom and orphan.
+  if ((status_.load() & kChildMask) == 0) RETURN_IF_ERROR(CheckActive());
+  RETURN_IF_ERROR(MarkReturned("commit"));
   Handoff h = StartReturn();
   if (TraceRecorder() != nullptr) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -506,13 +523,7 @@ Status Transaction::Pass(Handoff* h) {
 }
 
 Status Transaction::Abort() {
-  if (active_children_.load() != 0) {
-    return Status::FailedPrecondition(
-        StrCat(id_, " cannot abort with active children"));
-  }
-  if (returned_.exchange(true)) {
-    return Status::FailedPrecondition(StrCat(id_, " already returned"));
-  }
+  RETURN_IF_ERROR(MarkReturned("abort"));
   return AbortTail(Status::OK(), StartReturn());
 }
 
@@ -543,7 +554,7 @@ Status Transaction::AbortTail(Status cause, Handoff h) {
     std::vector<LockManager::KeyHold> keys = TakeKeys();
     h.keys += keys.size();
     if (flat_child) {
-      TopLevel()->doomed_.store(true);
+      TopLevel()->status_.fetch_or(kDoomed);
       HandKeysToParent(std::move(keys));
     } else {
       manager_->locks().OnAbort(LockOwner(), keys);
@@ -587,7 +598,7 @@ Status Transaction::Finish(bool committed, Status result, const Handoff& h) {
     }
   } else {
     if (committed && rec != nullptr) parent_->AddToAggregate(h.aggregate);
-    parent_->active_children_.fetch_sub(1);
+    parent_->status_.fetch_sub(1);
   }
   return result;
 }

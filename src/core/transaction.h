@@ -19,6 +19,11 @@
 // happens-before of the hand-off. Cancel, BeginChild and the getters
 // returned, active_children and doomed are the exceptions: they touch
 // only atomics and mutex-guarded state, so any thread may call them.
+// A BeginChild that races its parent's Commit or Abort gets one of two
+// outcomes. Either it counts its child first, and the return fails with
+// FailedPrecondition (active children), or the return comes first, and
+// BeginChild fails with FailedPrecondition (already returned). No child
+// ever starts under a returned parent.
 // Concurrency inside a tree comes from children, each on its own handle
 // and thread, running beside its parent and siblings.
 //
@@ -121,9 +126,11 @@ class Transaction {
   }
 
   const TransactionId& id() const { return id_; }
-  bool returned() const { return returned_.load(); }
+  bool returned() const { return (status_.load() & kReturned) != 0; }
   /// Children begun and not yet returned (diagnostic; racy by nature).
-  int active_children() const { return active_children_.load(); }
+  int active_children() const {
+    return static_cast<int>(status_.load() & kChildMask);
+  }
   /// True if a flat-mode subtransaction abort doomed this transaction
   /// tree; all further operations fail and only Abort() is permitted.
   bool doomed() const;
@@ -143,6 +150,10 @@ class Transaction {
   EngineTraceRecorder* TraceRecorder() const;
 
   Status CheckActive() const;
+  /// A return's entry: set kReturned with one CAS, which fails while a
+  /// child is active (a BeginChild that counted its child first wins) or
+  /// once returned. `verb` names the return in the error.
+  Status MarkReturned(const char* verb);
   /// Fold the inventories committed children handed up (pending_keys_)
   /// into keys_; an entry already there, with its cached handle, wins.
   /// Owner only, and only once keys_pending_ reads true: an access with
@@ -280,10 +291,15 @@ class Transaction {
   /// installs it (OCC). A locking handle keeps it only with a WAL; for an
   /// OCC handle it is the write set. Guarded by mutex_.
   std::vector<WalWrite> writes_;
-  std::atomic<int> active_children_{0};
-  std::atomic<bool> returned_{false};
-  std::atomic<bool> doomed_{false};   // kFlat2PL subtree failure
-  Value aggregate_ = 0;               // guarded by mutex_; tracing only
+  /// The lifecycle word: the returned bit, the doomed bit (a kFlat2PL
+  /// subtree failure) and, below them, the count of children begun and
+  /// not yet returned. One word, so BeginChild's count and a return's
+  /// check of it are each one CAS and cannot interleave.
+  static constexpr uint32_t kReturned = 1u << 31;
+  static constexpr uint32_t kDoomed = 1u << 30;
+  static constexpr uint32_t kChildMask = kDoomed - 1;
+  std::atomic<uint32_t> status_{0};
+  Value aggregate_ = 0;  // guarded by mutex_; tracing only
 
   /// True when this handle executes optimistically (kOcc). Children
   /// inherit the flag, so a whole tree is either optimistic or locking.

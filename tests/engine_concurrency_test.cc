@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/failpoints.h"
+#include "util/cleanup.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -379,6 +382,56 @@ TEST(EngineConcurrencyTest, StatsAreCoherent) {
   EXPECT_EQ(db.stats().Snapshot().top_level_aborted, 1u);
   EXPECT_GE(db.stats().Snapshot().txns_begun, 2u);
   EXPECT_GE(db.stats().Snapshot().writes, 1u);
+}
+
+// BeginChild may run on any thread, so it can race its parent's return.
+// The begin_txn delay holds a BeginChild between its activity check and
+// its count of the child for 20 ms, and the owner returns 5 ms in. The
+// child begin and the return must never both succeed: a child under a
+// returned parent would hand its write lock to a parent that never
+// releases again, and the key would stay locked for good.
+void RunBeginChildRacingReturn(bool commit) {
+  EngineOptions o = Opts(CcMode::kMossRW);
+  o.lock_timeout = std::chrono::milliseconds(200);
+  Database db(o);
+  db.Preload("k", 0);
+  auto disarm = MakeCleanup([] { FailPoints::DisableAll(); });
+  for (int trial = 0; trial < 3; ++trial) {
+    FailPoints::Config delay;
+    delay.delay_one_in = 1;
+    delay.delay_us = 20000;
+    FailPoints::Enable(FailPoints::kBeginTxn, delay);
+    auto parent = db.Begin();
+    std::unique_ptr<Transaction> child;
+    std::thread begin([&] {
+      Result<std::unique_ptr<Transaction>> r = parent->BeginChild();
+      if (r.ok()) child = std::move(*r);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const Status returned = commit ? parent->Commit() : parent->Abort();
+    begin.join();
+    FailPoints::DisableAll();
+    EXPECT_FALSE(child != nullptr && returned.ok())
+        << "trial " << trial << ": a child began under a returned parent";
+    if (child != nullptr) {
+      (void)child->Add("k", 1);
+      (void)child->Commit();
+      child.reset();
+      if (!returned.ok()) (void)parent->Commit();
+    }
+    // Whichever side won, a fresh writer of the key is not blocked.
+    auto writer = db.Begin();
+    EXPECT_TRUE(writer->Add("k", 1).ok()) << "trial " << trial;
+    EXPECT_TRUE(writer->Commit().ok()) << "trial " << trial;
+  }
+}
+
+TEST(EngineConcurrencyTest, BeginChildRacingCommitNeverBothSucceed) {
+  RunBeginChildRacingReturn(/*commit=*/true);
+}
+
+TEST(EngineConcurrencyTest, BeginChildRacingAbortNeverBothSucceed) {
+  RunBeginChildRacingReturn(/*commit=*/false);
 }
 
 }  // namespace

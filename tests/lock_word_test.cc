@@ -11,6 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -215,6 +218,126 @@ TEST(LockWordTest, DisabledKeysAreBornInflated) {
   EXPECT_EQ(s.fast_read_grants, 0u);
   EXPECT_EQ(s.lock_word_inflations, 0u) << "born inflated, not escalated";
   EXPECT_EQ(s.lock_word_deflations, 0u);
+}
+
+// The two regimes in lock step. One random single-threaded stream of
+// begins, accesses and returns, over 3 keys and a 3-level tree, runs
+// against a word-on and a word-off engine under no-wait, where a conflict
+// fails at once instead of blocking the one thread. After every step both
+// must return the same status code and value, and hold the same M(X)
+// state on every key: read holders, write holders, versions and base
+// (holder_epoch is the word's seq, which differs by design). The word-on
+// engine inflates a key on a conflict and deflates it once the key
+// quiesces, so the streams cross both regimes and the hand-offs between
+// them.
+TEST(LockWordTest, RegimesAgreeInLockStep) {
+  constexpr int kSeeds = 300;
+  constexpr int kSteps = 120;
+  constexpr int kDepth = 3;  // top-level, child, grandchild
+  const std::string keys[] = {"a", "b", "c"};
+  struct Node {
+    std::unique_ptr<Transaction> on, off;  // null once returned
+    int parent;                            // -1 for a top-level
+    int depth;
+    int children = 0;                      // live ones
+  };
+  uint64_t deflations = 0;  // the word-on engine's, over every stream
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    EngineOptions opts = FastOptions(true);
+    opts.cc_protocol = CcProtocol::kNoWait;
+    Database on_db(opts);
+    opts.lock_word_enabled = false;
+    Database off_db(opts);
+    std::mt19937_64 rng(seed);
+    std::vector<Node> nodes;
+    // A random live node that `ok` accepts, or -1.
+    auto pick = [&](auto ok) {
+      std::vector<int> fit;
+      for (int i = 0; i < static_cast<int>(nodes.size()); ++i) {
+        if (nodes[i].on != nullptr && ok(nodes[i])) fit.push_back(i);
+      }
+      return fit.empty() ? -1 : fit[rng() % fit.size()];
+    };
+    auto same = [](const auto& a, const auto& b) {
+      EXPECT_EQ(a.status().code(), b.status().code());
+      if (a.ok() && b.ok()) {
+        EXPECT_EQ(*a, *b);
+      }
+    };
+    // A return of node i (commit or abort), on both engines.
+    auto finish = [&](int i, bool commit) {
+      Node& n = nodes[i];
+      EXPECT_EQ(commit ? n.on->Commit().code() : n.on->Abort().code(),
+                commit ? n.off->Commit().code() : n.off->Abort().code());
+      EXPECT_EQ(n.on->returned(), n.off->returned());
+      if (!n.on->returned()) return;
+      n.on.reset();
+      n.off.reset();
+      if (n.parent >= 0) --nodes[n.parent].children;
+    };
+    for (int step = 0; step <= kSteps; ++step) {
+      SCOPED_TRACE(StrCat("seed ", seed, " step ", step));
+      const int op = step < kSteps ? static_cast<int>(rng() % 10) : -1;
+      const std::string& key = keys[rng() % 3];
+      const int64_t arg = static_cast<int64_t>(rng() % 100);
+      if (op == 0) {
+        nodes.push_back(Node{on_db.Begin(), off_db.Begin(), -1, 1});
+      } else if (op == 1) {
+        const int i = pick([&](const Node& n) { return n.depth < kDepth; });
+        if (i >= 0) {
+          auto a = nodes[i].on->BeginChild();
+          auto b = nodes[i].off->BeginChild();
+          EXPECT_EQ(a.ok(), b.ok());
+          if (a.ok() && b.ok()) {
+            ++nodes[i].children;
+            nodes.push_back(Node{std::move(*a), std::move(*b), i,
+                                 nodes[i].depth + 1});
+          }
+        }
+      } else if (op >= 2 && op <= 5) {
+        const int i = pick([](const Node&) { return true; });
+        if (i >= 0) {
+          Transaction& a = *nodes[i].on;
+          Transaction& b = *nodes[i].off;
+          if (op == 2) {
+            same(a.TryGet(key), b.TryGet(key));
+          } else if (op == 3) {
+            EXPECT_EQ(a.Put(key, arg).code(), b.Put(key, arg).code());
+          } else if (op == 4) {
+            same(a.Add(key, arg), b.Add(key, arg));
+          } else {
+            EXPECT_EQ(a.Delete(key).code(), b.Delete(key).code());
+          }
+        }
+      } else if (op >= 6) {
+        // 6: a child commit, 7: a top-level commit, 8-9: an abort.
+        const int i = pick([&](const Node& n) {
+          return n.children == 0 &&
+                 (op == 6 ? n.parent >= 0 : op == 7 ? n.parent < 0 : true);
+        });
+        if (i >= 0) finish(i, op < 8);
+      } else {
+        // The stream's end: abort what is left, each child (which sits
+        // after its parent) before its parent.
+        for (int i = static_cast<int>(nodes.size()) - 1; i >= 0; --i) {
+          if (nodes[i].on != nullptr) finish(i, /*commit=*/false);
+        }
+      }
+      for (const std::string& k : keys) {
+        const LockManager::KeySnapshotForTest a =
+            on_db.manager().locks().SnapshotKeyForTest(k);
+        const LockManager::KeySnapshotForTest b =
+            off_db.manager().locks().SnapshotKeyForTest(k);
+        EXPECT_EQ(a.read_holders, b.read_holders) << "key " << k;
+        EXPECT_EQ(a.write_holders, b.write_holders) << "key " << k;
+        EXPECT_EQ(a.versions, b.versions) << "key " << k;
+        EXPECT_EQ(a.base, b.base) << "key " << k;
+      }
+      if (HasFailure()) return;
+    }
+    deflations += on_db.stats().Snapshot().lock_word_deflations;
+  }
+  EXPECT_GT(deflations, 0u) << "no stream crossed back to the word regime";
 }
 
 }  // namespace

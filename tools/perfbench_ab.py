@@ -28,9 +28,17 @@ neither) and a verdict from the base tree's BENCHMARK.json:
                 base's by more than the bound;
   within bound  otherwise.
 
-Per-layer metrics (--trace 1) have no bound and get no verdict. --out
-writes every run's result as JSON. Exits non-zero when a run fails, is
-not correct, or has failed operations.
+Per-layer metrics (--trace 1) have no bound and get no verdict.
+
+--aa first copies the base tree, without its .bench_build/, to a fresh
+sibling directory, and before each workload's A/B runs the same seeds
+base against that copy, with the same verdict rules, and prints that
+table first. The two copies differ only in where they live and when
+they were built, so the A/A table shows how far apart the A/B's sides
+can read with no change to the code. The copy is removed at exit.
+
+--out writes every run's result as JSON. Exits non-zero when a run
+fails, is not correct, or has failed operations.
 """
 
 import argparse
@@ -38,9 +46,11 @@ import json
 import math
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 RUN_TIMEOUT_S = 1200  # the first run of a tree also builds it
@@ -166,6 +176,38 @@ def report(pairs, spec, steal_limit):
     return summary
 
 
+def copy_tree(tree):
+    """A fresh sibling copy of `tree` without its perfbench build."""
+    parent, name = os.path.split(tree)
+    dest = tempfile.mkdtemp(prefix=f"{name}-aa-", dir=parent)
+    shutil.copytree(tree, dest, dirs_exist_ok=True, symlinks=True,
+                    ignore=shutil.ignore_patterns(".bench_build"))
+    return dest
+
+
+def run_round(base, head, workload, title, args, seconds):
+    """Interleaved pairs of one workload; returns (pairs, all runs ok)."""
+    pairs = []
+    ok = True
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        order = (base, head) if i % 2 == 0 else (head, base)
+        runs = {t: run_once(t, workload, seed, seconds, args.trace)
+                for t in order}
+        pair = (runs[base], runs[head])
+        for side, r in zip(("base", "head"), pair):
+            print(f"[{workload} {title} pair {i + 1}/{args.pairs} seed "
+                  f"{seed}] {side}: exit {r['exit']}, correct "
+                  f"{r.get('correct')}, failed {r.get('failed')}, cpu "
+                  f"{r['cpu_s']:.1f} s, steal {r['steal_ticks']} ticks",
+                  file=sys.stderr, flush=True)
+            if (r["exit"] != 0 or not r.get("correct")
+                    or r.get("failed", 1) != 0):
+                ok = False
+        pairs.append(pair)
+    return pairs, ok
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="parent source tree")
@@ -179,6 +221,8 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--steal-ticks", type=int, default=300,
                         help="flag runs that lost more steal than this")
+    parser.add_argument("--aa", action="store_true",
+                        help="run base against a copy of itself first")
     parser.add_argument("--out", help="write every run's result here")
     args = parser.parse_args()
 
@@ -190,31 +234,30 @@ def main():
     if args.trace == 0:
         spec = dict(spec, per_layer=[])
 
+    copy = copy_tree(base) if args.aa else None
+    rounds = ([("A/A", copy)] if copy else []) + [("A/B", head)]
     results = {}
     ok = True
-    for w in workloads:
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = (base, head) if i % 2 == 0 else (head, base)
-            runs = {t: run_once(t, w, seed, seconds, args.trace)
-                    for t in order}
-            pair = (runs[base], runs[head])
-            for side, r in zip(("base", "head"), pair):
-                print(f"[{w} pair {i + 1}/{args.pairs} seed {seed}] {side}: "
-                      f"exit {r['exit']}, correct {r.get('correct')}, "
-                      f"failed {r.get('failed')}, cpu {r['cpu_s']:.1f} s, "
-                      f"steal {r['steal_ticks']} ticks", file=sys.stderr,
-                      flush=True)
-                if (r["exit"] != 0 or not r.get("correct")
-                        or r.get("failed", 1) != 0):
-                    ok = False
-            pairs.append(pair)
-        print(f"\n== {w}: {args.pairs} pairs, {seconds:g} s, seeds "
-              f"{args.first_seed}-{args.first_seed + args.pairs - 1}, "
-              f"trace {args.trace}, base first in odd pairs")
-        results[w] = {"summary": report(pairs, spec, args.steal_ticks),
-                      "runs": pairs}
+    try:
+        for w in workloads:
+            results[w] = {}
+            for title, other in rounds:
+                pairs, round_ok = run_round(base, other, w, title, args,
+                                            seconds)
+                ok = ok and round_ok
+                print(f"\n== {w} {title}: {args.pairs} pairs, {seconds:g} s, "
+                      f"seeds {args.first_seed}-"
+                      f"{args.first_seed + args.pairs - 1}, trace "
+                      f"{args.trace}, base first in odd pairs")
+                result = {"summary": report(pairs, spec, args.steal_ticks),
+                          "runs": pairs}
+                if other == copy:  # the A/A round's head is the copy
+                    results[w]["aa"] = result
+                else:
+                    results[w].update(result)
+    finally:
+        if copy:
+            shutil.rmtree(copy, ignore_errors=True)
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"base": base, "head": head, "seconds": seconds,

@@ -69,14 +69,20 @@ struct alignas(64) LockManager::KeyState {
   const size_t hash;      // std::hash of key: probe start, compare, stripe
   const std::string key;  // the lock table's only copy; also for traces
   LockWordPair hot;       // lock word + seqlock value cache
-  // Threads parked on the stripe's cv for this key, maintained under the
-  // stripe mutex (incremented only around the cv wait). Releasers skip
+  // Threads waiting for this key, spinning on release_epoch or parked on
+  // the stripe's cv, maintained under the stripe mutex (incremented only
+  // around one spin or one cv wait). Releasers skip the epoch bump and
   // the wakeup entirely when it is 0; no wakeup is lost because a waiter
-  // holds the stripe mutex from wake to re-park, so a releaser either
-  // sees it parked or sees the post-release state it re-checks against.
-  // waiters > 0 also blocks deflation: an uninflated key never has a
-  // parked waiter. (It sits in the first line's tail.)
+  // holds the stripe mutex from its conflict check until it is counted
+  // here and has read the epoch or parked, so a releaser either sees it
+  // counted (and bumps, and notifies) or precedes the check. waiters > 0
+  // also blocks deflation, so every release of a waited-on key runs the
+  // mutex path: an uninflated key never has a waiter.
   uint32_t waiters = 0;
+  // Bumped under the stripe mutex by every release that changes a holder
+  // mode while waiters > 0; a spinning waiter polls it with the mutex
+  // dropped. Fills the first line's tail.
+  std::atomic<uint32_t> release_epoch{0};
   IdSet read_holders;
   // Write holders with their version slots: holder set and version map
   // are always the same transactions, so one sorted vector serves both.
@@ -529,7 +535,9 @@ void LockManager::DoomSubtree(const TransactionId& root) {
   // through the waiter's stripe mutex orders the delivery after the
   // (still-registered) waiter's check-then-wait critical section, which
   // ran under that same mutex, so it is either already parked (the
-  // notify reaches it) or will re-check the doomed flag before parking.
+  // notify reaches it), spinning (it re-checks the doomed flag when the
+  // spin ends, at most kWaitSpinNs later) or will re-check the doomed
+  // flag before parking.
   // Stripes and KeyStates are stable for the manager's lifetime, so a
   // waiter unparking concurrently only makes a notify spurious.
   for (Stripe* stripe : to_wake) {
@@ -588,6 +596,29 @@ void LockManager::UnparkWaiter(const TransactionId& txn,
   }
 }
 
+namespace {
+
+// One spin of a lock wait: with the stripe mutex `lk` held on entry and
+// on return, read the key's release epoch, drop the mutex and poll the
+// epoch, yielding the core to the holder, until a release moves it or
+// the clock reaches `until_ns`. True when the budget ran out first. The
+// caller counts itself in ks.waiters around the call, so every release
+// of the key runs the mutex path and bumps the epoch.
+bool SpinOnReleaseEpoch(LockManager::KeyState& ks,
+                        std::unique_lock<std::mutex>& lk, uint64_t until_ns) {
+  const uint32_t epoch = ks.release_epoch.load(std::memory_order_relaxed);
+  lk.unlock();
+  bool spent = false;
+  while (ks.release_epoch.load(std::memory_order_relaxed) == epoch &&
+         !(spent = MonotonicNowNs() >= until_ns)) {
+    std::this_thread::yield();
+  }
+  lk.lock();
+  return spent;
+}
+
+}  // namespace
+
 Status LockManager::WaitForGrant(KeyState& ks,
                                  std::unique_lock<std::mutex>& lk,
                                  const TransactionId& txn, bool exclusive) {
@@ -595,6 +626,7 @@ Status LockManager::WaitForGrant(KeyState& ks,
   bool waited = false;
   bool registered = false;
   bool parked = false;
+  bool slept = false;  // this wait spent its spin budget and used the cv
   // Every exit — grant, deadlock, timeout, cancellation, injected fault —
   // must clear the policy's wait registration and the park-table entry.
   // A return that skips OnWaitEnd leaves a stale edge behind, and stale
@@ -609,14 +641,15 @@ Status LockManager::WaitForGrant(KeyState& ks,
   // the pre-park refusal, the deadline branch), so every wake resolves
   // to exactly one outcome and one counter whichever notification lands
   // first.
-  // Wait-latency accounting and the lock_timeout deadline, both taken
-  // from one clock read when this request first parks, so the
-  // no-conflict grant path never reads the clock. Every exit — grant,
-  // deadlock, timeout, cancellation, injected fault — holds the stripe
-  // mutex, so the stripe's profile needs no extra locking; the
+  // Wait-latency accounting, the lock_timeout deadline and the spin
+  // budget, all taken from one clock read when this request first waits,
+  // so the no-conflict grant path never reads the clock. Every exit —
+  // grant, deadlock, timeout, cancellation, injected fault — holds the
+  // stripe mutex, so the stripe's profile needs no extra locking; the
   // thread-local counters feed the sampled span of the transaction
   // driving this (synchronous) call.
   uint64_t wait_start_ns = 0;
+  uint64_t spin_end_ns = 0;
   std::chrono::steady_clock::time_point deadline;
   auto record_wait = MakeCleanup([&] {
     if (!waited) return;
@@ -629,10 +662,14 @@ Status LockManager::WaitForGrant(KeyState& ks,
     ++acct.count;
     if (metrics_ != nullptr) metrics_->Record(kHistLockWaitNs, elapsed);
   });
+  // The blockers of the last pass, and the set the policy holds this
+  // wait's registration against; both buffers are reused across passes.
+  std::vector<TransactionId> conflicts;
+  std::vector<TransactionId> blockers;
   for (;;) {
     // The slow path owns the key from here: inflation is asserted before
     // any holder structure is read (a no-op after the first pass: a
-    // parked waiter blocks deflation, and the stripe mutex is held from
+    // counted waiter blocks deflation, and the stripe mutex is held from
     // every wake to here).
     EnsureInflatedLocked(ks);
     // Orphan check on every pass: an ancestor abort dooms this subtree
@@ -647,33 +684,44 @@ Status LockManager::WaitForGrant(KeyState& ks,
           StrCat(txn, " cancelled while waiting (subtree doomed by "
                       "ancestor abort)"));
     }
-    std::vector<TransactionId> conflicts;
+    conflicts.clear();
     if (!ks.Conflicts(txn, exclusive, &conflicts)) return Status::OK();
-    const ConflictPolicy::Decision d = policy_->OnConflict(txn, conflicts);
-    if (d.action == ConflictPolicy::Decision::Action::kAbort) {
-      registered = false;  // a rejecting policy never leaves an entry
-      // A prevention-rule death (wait-die / no-wait) has its own counter,
-      // distinct from detected cycles. Either way the requester retries
-      // under a fresh id.
-      stats_->Add(d.prevention ? kStatPreventionAborts : kStatDeadlocks);
-      return d.status;
+    // A re-check that finds the blockers it is registered against keeps
+    // its registration: the set was cycle-checked when it was added, every
+    // later edge set was checked against it, so the graph is still acyclic
+    // and re-adding the same edges could close no cycle. Any other set
+    // (and every pass of a policy that registers nothing) asks the policy.
+    if (!registered || conflicts != blockers) {
+      const ConflictPolicy::Decision d = policy_->OnConflict(txn, conflicts);
+      if (d.action == ConflictPolicy::Decision::Action::kAbort) {
+        registered = false;  // a rejecting policy never leaves an entry
+        // A prevention-rule death (wait-die / no-wait) has its own
+        // counter, distinct from detected cycles. Either way the
+        // requester retries under a fresh id.
+        stats_->Add(d.prevention ? kStatPreventionAborts : kStatDeadlocks);
+        return d.status;
+      }
+      registered = d.registered;
+      if (registered) blockers.swap(conflicts);
     }
-    registered = d.registered;
     if (!waited) {
       waited = true;
       wait_start_ns = MonotonicNowNs();
       deadline = std::chrono::steady_clock::time_point(
                      std::chrono::nanoseconds(wait_start_ns)) +
                  options_.lock_timeout;
+      const std::chrono::nanoseconds spin = std::min<std::chrono::nanoseconds>(
+          std::chrono::nanoseconds(kWaitSpinNs), options_.lock_timeout);
+      spin_end_ns = wait_start_ns + spin.count();
       stats_->Add(kStatLockWaits);
     }
     if (!parked) {
-      // First park on this key: enter the cancellation park table. The
+      // First wait on this key: enter the cancellation park table. The
       // registration re-checks the doomed roots under the same mutex, so
       // a concurrent DoomSubtree either sees this entry (and notifies
-      // our stripe's cv through a stripe-mutex pass) or we see its root
-      // here and never park — the one ordering the loop-top check cannot
-      // close.
+      // our stripe's cv through a stripe-mutex pass, which reaches us
+      // parked; a spin ends on its own) or we see its root here and never
+      // wait — the one ordering the loop-top check cannot close.
       if (ParkWaiter(txn, &ks)) {
         stats_->Add(kStatWaitsCancelled);
         return Status::Cancelled(
@@ -682,20 +730,35 @@ Status LockManager::WaitForGrant(KeyState& ks,
       }
       parked = true;
     }
-    // A failpoint may truncate this wait: the waiter comes back early and
-    // re-evaluates, exactly the spurious-wakeup schedule a condition
-    // variable is allowed (but rarely chooses) to produce.
-    auto this_deadline = deadline;
-    if (FailPoints::MaybeSpuriousWakeup(FailPoints::kWaitWakeup)) {
-      this_deadline = std::min(
-          deadline, std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(50));
-    }
-    // The stripe's cv is shared with its other keys, so a wake may be
-    // meant for one of them; the loop re-checks everything either way.
+    // The first kWaitSpinNs of a wait (at most lock_timeout) spin on the
+    // key's release epoch; a spin's end is a wake like the cv's. No
+    // release is lost between the conflict check above and the epoch
+    // read: the stripe mutex is held throughout, and a release after the
+    // read sees this waiter counted and bumps the epoch. A doom does not
+    // end the spin; the loop top sees it at most kWaitSpinNs late.
+    bool timed_out;
     ++ks.waiters;
-    const bool timed_out =
-        stripe.cv.wait_until(lk, this_deadline) == std::cv_status::timeout;
+    if (MonotonicNowNs() < spin_end_ns) {
+      timed_out = SpinOnReleaseEpoch(ks, lk, spin_end_ns);
+    } else {
+      if (!slept) {
+        slept = true;
+        stats_->Add(kStatLockWaitParks);
+      }
+      // A failpoint may truncate this wait: the waiter comes back early
+      // and re-evaluates, exactly the spurious-wakeup schedule a
+      // condition variable is allowed (but rarely chooses) to produce.
+      auto this_deadline = deadline;
+      if (FailPoints::MaybeSpuriousWakeup(FailPoints::kWaitWakeup)) {
+        this_deadline = std::min(
+            deadline, std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(50));
+      }
+      // The stripe's cv is shared with its other keys, so a wake may be
+      // meant for one of them; the loop re-checks everything either way.
+      timed_out =
+          stripe.cv.wait_until(lk, this_deadline) == std::cv_status::timeout;
+    }
     --ks.waiters;
     // Stretches the wake-to-classify window; in the wild the race below
     // is microseconds wide, with the delay armed a regression test can
@@ -906,10 +969,12 @@ void LockManager::ReleaseKeyLocked(KeyState& ks, const TransactionId& txn,
   FailPoints::MaybeDelay(parent != nullptr ? FailPoints::kCommitInherit
                                            : FailPoints::kAbortPurge);
   const uint64_t modes = ks.ApplyRelease(txn, parent, scratch);
-  // Wakeups only if some thread is actually parked on this key — the
+  // Wakeups only if some thread is actually waiting on this key — the
   // waiter-count handshake (see KeyState::waiters) makes the skip
-  // lossless.
+  // lossless. The epoch bump ends a spinner's spin; the notify, issued
+  // after the batch drops its stripe mutexes, wakes a parked waiter.
   if (modes > 0 && ks.waiters > 0) {
+    ks.release_epoch.fetch_add(1, std::memory_order_relaxed);
     scratch.PendWakeup(&ks, &StripeOf(ks), modes);
   }
   // Emitted under the stripe mutex at the instant of the state change, so
@@ -934,7 +999,7 @@ bool LockManager::TryFastRelease(KeyState& ks, const TransactionId& txn,
   }
   uint64_t w;
   if (!TryAcquireMicro(ks, StripeOf(ks).m, &w)) return false;
-  // Uninflated ⇒ no parked waiters (nothing to wake) and no recorder
+  // Uninflated ⇒ no waiters (nothing to wake) and no recorder
   // (nothing to emit): the release is the rule plus the word's upkeep.
   uint64_t nw = w;
   if (ks.ApplyRelease(txn, parent, scratch) > 0) {

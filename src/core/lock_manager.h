@@ -12,12 +12,18 @@
 //
 // Blocking: a conflicting request's fate is the ConflictPolicy's call
 // (EngineOptions::cc_protocol; see core/cc_policy.h): under detection it
-// waits on the key's condition variable, registered in the policy's
-// wait-for graph; under wait-die an older requester waits and a younger
-// one dies; under no-wait every conflict dies. Deaths are retryable
-// Status::Deadlock, and always happen on the inflated slow path — a
-// policy abort is a conflict event, never a fast-path spin. Every wait
-// is bounded by lock_timeout.
+// waits, registered in the policy's wait-for graph; under wait-die an
+// older requester waits and a younger one dies; under no-wait every
+// conflict dies. Deaths are retryable Status::Deadlock, and always happen
+// on the inflated slow path — a policy abort is a conflict event, never a
+// fast-path spin. A waiter first spins: for the first kWaitSpinNs of its
+// wait it drops the key mutex and polls the key's release epoch, which
+// every release that changes a holder mode bumps while the key has a
+// waiter, then re-checks. A condition-variable round trip costs about as
+// much as a whole uncontended transaction, and most holders release
+// within the budget. After the budget it parks on the key's condition
+// variable. A re-check that finds the blockers it registered against
+// keeps its registration. Every wait is bounded by lock_timeout.
 //
 // Lock word (two-regime concurrency control, DESIGN.md §5): each key
 // carries one atomic 64-bit word packing an INFLATED escalation bit, a
@@ -121,11 +127,12 @@
 // batch's counters once and call notify_all once per stripe of a changed
 // key (duplicate notify requests — e.g. a dual-mode read+write holder, or
 // two keys on one stripe — are coalesced first). Wakeups are requested
-// only for keys with a parked waiter: each KeyState counts waiters under
-// its key mutex, and since a waiter holds that mutex continuously from
-// wake to re-park, a releaser either sees it parked (and notifies) or the
-// waiter re-checks against the post-release state — the skip loses no
-// wakeup.
+// only for keys with a waiter: each KeyState counts its waiters, spinning
+// or parked, under its key mutex, and a waiter holds that mutex from its
+// conflict check until it is counted and has read the key's release
+// epoch or parked, so a releaser either sees it counted (and bumps the
+// epoch and notifies) or the waiter's check sees the post-release state —
+// the skip loses no wakeup.
 //
 // Trace-order safety of the batching (Theorem 34): the recorded
 // per-object event order must be the order the lock manager enforced.
@@ -209,6 +216,11 @@ class LockManager {
     bool read = false;   // owner was in the read-holder set
     bool write = false;  // owner was in the write-holder set
   };
+
+  /// A lock wait spins on its key's release epoch for its first
+  /// kWaitSpinNs (at most lock_timeout) before it parks on the stripe's
+  /// condition variable (see "Blocking").
+  static constexpr uint64_t kWaitSpinNs = 100'000;
 
   /// `metrics` may be null (tests and benches that construct the manager
   /// directly): all instrumentation is skipped, not just disabled.

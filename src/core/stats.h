@@ -108,7 +108,9 @@ namespace nestedtx {
   /* sent to the locked fallback (ride or run that shard's flush) */      \
   X(kStatWalCutLockedChecks, wal_cut_locked_checks)                       \
   /* own-shard riders that parked on the shard cv (spun first or not) */  \
-  X(kStatWalRiderParks, wal_rider_parks)
+  X(kStatWalRiderParks, wal_rider_parks)                                  \
+  /* lock waits that spent their spin budget and parked on the cv */      \
+  X(kStatLockWaitParks, lock_wait_parks)
 
 /// Counter identifiers (indices into a stripe).
 enum StatCounter : int {

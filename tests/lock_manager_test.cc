@@ -919,5 +919,134 @@ TEST_F(SharedStripeTimeoutTest, TimeoutHoldsUnderTrafficOnTheOtherKey) {
   EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
 }
 
+// A waiter spins on its key's release epoch for the first kWaitSpinNs of
+// its wait and only then parks on the stripe's condition variable. These
+// tests pin both halves: a release during the spin ends the wait at once,
+// a long hold parks the wait once, a zero lock_timeout never spins, and a
+// doom that lands mid-spin still cancels the wait.
+class WaitSpinTest : public ::testing::Test {
+ protected:
+  WaitSpinTest() : lm_(Options(std::chrono::seconds(30)), &stats_) {}
+
+  static EngineOptions Options(std::chrono::milliseconds lock_timeout) {
+    EngineOptions o;
+    o.lock_timeout = lock_timeout;
+    return o;
+  }
+
+  static LockManager::Mutator Set(int64_t v) {
+    return [v](std::optional<int64_t>) { return v; };
+  }
+
+  EngineStats stats_;
+  LockManager lm_;
+};
+
+// The holder commits as soon as its waiter registers, polling without
+// sleeping, so the release lands inside the waiter's spin: the epoch bump
+// must end the spin at once. Without the bump every wait spins out its
+// whole budget before its re-check finds the key free. The wait is timed
+// as the lock manager times it (first wait to grant), which leaves out
+// the call's fixed costs.
+TEST_F(WaitSpinTest, ReleaseDuringSpinEndsTheWait) {
+  constexpr uint32_t kHandoffs = 200;
+  std::vector<uint64_t> wait_ns;
+  for (uint32_t i = 0; i < kHandoffs; ++i) {
+    const TransactionId holder = T({2 * i + 1}), waiter = T({2 * i + 2});
+    ASSERT_TRUE(lm_.AcquireWrite(holder, "k", Set(i)).ok());
+    Status status;
+    uint64_t elapsed_ns = 0;
+    std::thread reader([&] {
+      const uint64_t waited_before = ThreadWaitAccounting().ns;
+      status = lm_.AcquireRead(waiter, "k").status();
+      elapsed_ns = ThreadWaitAccounting().ns - waited_before;
+    });
+    while (lm_.wait_graph().NumWaiters() == 0) std::this_thread::yield();
+    lm_.OnCommit(holder, TransactionId::Root(), std::vector<std::string>{"k"});
+    reader.join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    lm_.OnCommit(waiter, TransactionId::Root(), std::vector<std::string>{"k"});
+    wait_ns.push_back(elapsed_ns);
+  }
+  std::nth_element(wait_ns.begin(), wait_ns.begin() + kHandoffs / 2,
+                   wait_ns.end());
+  EXPECT_LT(wait_ns[kHandoffs / 2], LockManager::kWaitSpinNs / 2);
+  const StatsSnapshot snap = stats_.Snapshot();
+  EXPECT_EQ(snap.lock_waits, kHandoffs);
+  EXPECT_LE(snap.lock_wait_parks, kHandoffs / 4);
+  EXPECT_EQ(lm_.wait_graph().NumWaiters(), 0u);
+  EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
+}
+
+// A hold far past the spin budget parks the wait once; the holder's
+// commit still wakes it.
+TEST_F(WaitSpinTest, LongHoldParksOnce) {
+  const TransactionId holder = T({1}), waiter = T({2});
+  ASSERT_TRUE(lm_.AcquireWrite(holder, "k", Set(7)).ok());
+  Status status;
+  std::optional<int64_t> value;
+  std::thread reader([&] {
+    Result<std::optional<int64_t>> r = lm_.AcquireRead(waiter, "k");
+    status = r.status();
+    if (r.ok()) value = *r;
+  });
+  ASSERT_TRUE(WaitUntil([&] { return lm_.wait_graph().NumWaiters() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  lm_.OnCommit(holder, TransactionId::Root(), std::vector<std::string>{"k"});
+  reader.join();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(value, std::optional<int64_t>(7));
+  const StatsSnapshot snap = stats_.Snapshot();
+  EXPECT_EQ(snap.lock_waits, 1u);
+  EXPECT_EQ(snap.lock_wait_parks, 1u);
+  EXPECT_EQ(snap.lock_timeouts, 0u);
+  lm_.OnCommit(waiter, TransactionId::Root(), std::vector<std::string>{"k"});
+  EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
+}
+
+// The spin budget is capped at lock_timeout: with none, the wait goes
+// straight to the condition variable with its deadline already passed and
+// times out there, never spinning.
+TEST_F(WaitSpinTest, ZeroTimeoutNeverSpins) {
+  EngineStats stats;
+  LockManager lm(Options(std::chrono::milliseconds(0)), &stats);
+  const TransactionId holder = T({1}), waiter = T({2});
+  ASSERT_TRUE(lm.AcquireWrite(holder, "k", Set(7)).ok());
+  const Status s = lm.AcquireRead(waiter, "k").status();
+  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
+  const StatsSnapshot snap = stats.Snapshot();
+  EXPECT_EQ(snap.lock_waits, 1u);
+  EXPECT_EQ(snap.lock_wait_parks, 1u);
+  EXPECT_EQ(snap.lock_timeouts, 1u);
+  EXPECT_EQ(lm.wait_graph().NumWaiters(), 0u);
+  EXPECT_EQ(lm.ParkedWaiterCount(), 0u);
+  lm.OnCommit(holder, TransactionId::Root(), std::vector<std::string>{"k"});
+}
+
+// A spinner watches only its key's epoch, so the doom's notify misses it;
+// the spin's end re-checks the doom and the wait is cancelled, not left
+// parked for the rest of its 30 s timeout.
+TEST_F(WaitSpinTest, DoomedSpinnerIsCancelled) {
+  const TransactionId holder = T({1}), waiter = T({2, 0});
+  ASSERT_TRUE(lm_.AcquireWrite(holder, "k", Set(7)).ok());
+  Status status;
+  std::thread reader([&] { status = lm_.AcquireRead(waiter, "k").status(); });
+  while (lm_.ParkedWaiterCount() == 0) std::this_thread::yield();
+  const auto doomed_at = std::chrono::steady_clock::now();
+  lm_.DoomSubtree(T({2}));
+  reader.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - doomed_at,
+            std::chrono::seconds(1));
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  const StatsSnapshot snap = stats_.Snapshot();
+  EXPECT_EQ(snap.waits_cancelled, 1u);
+  EXPECT_EQ(snap.lock_timeouts, 0u);
+  EXPECT_EQ(lm_.wait_graph().NumWaiters(), 0u);
+  EXPECT_EQ(lm_.ParkedWaiterCount(), 0u);
+  lm_.ClearDoom(T({2}));
+  lm_.OnAbort(holder, std::vector<std::string>{"k"});
+  EXPECT_EQ(lm_.DoomedRootCount(), 0u);
+}
+
 }  // namespace
 }  // namespace nestedtx
